@@ -33,13 +33,15 @@ type common = {
   co_no_static : bool;
 }
 
-(* Side effects of the common flags: arm telemetry and the fault plan.
-   [--faults] replaces whatever DCA_FAULTS would have armed; a malformed
-   plan raises Faultpoint.Bad_plan, mapped to a usage error at top
-   level.  [--trace]/[--stats] layer over DCA_TRACE / DCA_STATS. *)
+(* Side effects of the common flags: arm telemetry and install the
+   process default fault plan.  [--faults] replaces the DCA_FAULTS plan;
+   a malformed plan raises Faultpoint.Bad_plan, mapped to a usage error
+   at top level.  [--trace]/[--stats] layer over DCA_TRACE / DCA_STATS. *)
 let apply_common co =
   Telemetry.init_from_env ();
-  (match co.co_faults with Some plan -> Faultpoint.arm_string plan | None -> ());
+  (match co.co_faults with
+  | Some plan -> Faultpoint.set_default (Faultpoint.plan_of_string plan)
+  | None -> Faultpoint.init_from_env ());
   match (co.co_trace, co.co_stats) with
   | None, false -> ()
   | trace, stats ->
@@ -426,10 +428,11 @@ let batch_cmd =
             2
         | programs ->
             let module Driver = Dca_core.Driver in
+            let faults = Faultpoint.specs (Faultpoint.current ()) in
             let analyze_one prog =
-              (* re-zero the plan's hit counters so a one-shot fault
-                 applies to every program independently *)
-              Faultpoint.reset_hits ();
+              (* a fresh copy of the plan per program, so a one-shot
+                 fault applies to every program independently *)
+              Faultpoint.with_plan (Faultpoint.plan faults) @@ fun () ->
               match Session.load ~options prog with
               | Error msg -> `Error msg
               | Ok s -> (
@@ -618,8 +621,8 @@ let socket_arg =
 (* dca serve: the persistent analysis daemon.  The common flags apply
    daemon-wide: --jobs is the default pool width for requests that do not
    set their own, --trace/--stats instrument the whole serving run,
-   --faults arms a daemon-wide plan (a request's own plan replaces it for
-   that request and disarms it after). *)
+   --faults is the daemon's plan (a request's own plan replaces it inside
+   that request's analysis only). *)
 let serve_cmd =
   let cache_dir_arg =
     let doc =

@@ -77,20 +77,6 @@ module Options = struct
       ]
 end
 
-(* Fold the deprecated per-field optional arguments over an [Options.t]
-   base: an explicitly passed legacy argument wins over the corresponding
-   options field, so pre-Options embedder code behaves exactly as before. *)
-let fold_legacy ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical options =
-  let base = Option.value options ~default:Options.default in
-  let set v f base = match v with None -> base | Some v -> f v base in
-  base
-  |> set jobs Options.with_jobs
-  |> set config Options.with_config
-  |> set spec Options.with_spec
-  |> set deadline_ms Options.with_deadline_ms
-  |> set heap_words Options.with_heap_words
-  |> set hierarchical Options.with_hierarchical
-
 type t = {
   s_name : string;
   s_file : string;
@@ -113,8 +99,7 @@ type t = {
   mutable s_plan : Dca_parallel.Plan.t option;
 }
 
-let create ?options ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical origin =
-  let options = fold_legacy ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical options in
+let create ?(options = Options.default) origin =
   let name, file, source, input =
     match origin with
     | Source { file; source; input } -> (Filename.basename file, file, source, input)
@@ -182,13 +167,12 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let load ?options ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical prog =
-  let options = fold_legacy ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical options in
+let load ?options prog =
   match Dca_progs.Registry.find prog with
-  | Some bm -> Ok (create ~options (Benchmark bm))
+  | Some bm -> Ok (create ?options (Benchmark bm))
   | None ->
       if Sys.file_exists prog then
-        Ok (create ~options (Source { file = prog; source = read_file prog; input = [] }))
+        Ok (create ?options (Source { file = prog; source = read_file prog; input = [] }))
       else Error (Printf.sprintf "'%s' is neither a built-in benchmark nor a file" prog)
 
 let name t = t.s_name
@@ -290,8 +274,6 @@ let plan ?machine ?strategy t =
 let advise t = Advisor.advise (proginfo t) (profile t) (dca_results t)
 let report t = Report.to_string (dca_results t)
 
-let telemetry_global _t = Telemetry.Ctx.counters Telemetry.Ctx.global
-
 (* Counters attributable to this session: the session context's current
    value minus the value at creation.  Counters registered after the
    baseline was taken (first use anywhere in the process) subtract an
@@ -313,7 +295,6 @@ let close t =
       Pool.shutdown p
   | None -> ()
 
-let with_session ?options ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical origin f =
-  let options = fold_legacy ?jobs ?config ?spec ?deadline_ms ?heap_words ?hierarchical options in
-  let t = create ~options origin in
+let with_session ?options origin f =
+  let t = create ?options origin in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)

@@ -22,7 +22,7 @@
    serve bench asserts.
 
    The engine is concurrency-safe: [handle] may be called from many
-   worker domains at once.  Three mechanisms make that sound:
+   worker domains at once.  Two mechanisms make that sound:
 
      - *Telemetry contexts.*  Each analyze request runs under its own
        Telemetry.Ctx (installed with [with_ctx], propagated into the
@@ -41,10 +41,10 @@
        a transient session that is closed afterwards if the slot was
        retaken.  Eviction never touches a busy session.
 
-     - *A writer-priority gate for fault injection.*  Faultpoint plans
-       are process-global, so a fault-carrying request takes the gate
-       exclusively while normal requests share it — injected failures
-       can never leak into an innocent request.
+   A fault-carrying request needs no mechanism of its own: its plan is
+   scoped to its own analysis (Faultpoint.with_plan, carried into the
+   session pool like the telemetry context), so it runs concurrently
+   with clean requests and cannot fire in them.
 
    The Vcache serializes internally; the engine's own counters live
    under one mutex. *)
@@ -73,8 +73,7 @@ type t = {
   cache : Vcache.t;
   metrics : Metrics.t;
   tele : Telemetry.Ctx.t;  (* the daemon's aggregate context (ambient at create) *)
-  lock : Mutex.t;  (* sessions table, counters, request ids, the fault gate *)
-  gate_cond : Condition.t;
+  lock : Mutex.t;  (* sessions table, counters, request ids *)
   sessions : (string, warm) Hashtbl.t;
   session_cap : int;
   default_jobs : int option;
@@ -83,11 +82,6 @@ type t = {
   mutable session_reuses : int;
   mutable aborted_requests : int;
   mutable next_req : int;
-  (* fault gate: shared by normal analyzes, exclusive for fault-carrying
-     ones, writer-priority so a fault request is not starved *)
-  mutable active_shared : int;
-  mutable pending_exclusive : int;
-  mutable exclusive : bool;
 }
 
 let metric_names =
@@ -119,7 +113,6 @@ let create ?cache_dir ?cache_capacity ?(sessions = 8) ?jobs () =
     metrics;
     tele = Telemetry.current ();
     lock = Mutex.create ();
-    gate_cond = Condition.create ();
     sessions = Hashtbl.create 16;
     session_cap = max 1 sessions;
     default_jobs = jobs;
@@ -128,9 +121,6 @@ let create ?cache_dir ?cache_capacity ?(sessions = 8) ?jobs () =
     session_reuses = 0;
     aborted_requests = 0;
     next_req = 0;
-    active_shared = 0;
-    pending_exclusive = 0;
-    exclusive = false;
   }
 
 let cache t = t.cache
@@ -144,36 +134,6 @@ let close t =
         ws)
   in
   List.iter (fun w -> Session.close w.w_session) victims
-
-(* ------------------------------------------------------------------ *)
-(* Fault gate                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let enter_shared t =
-  Mutex.protect t.lock (fun () ->
-      while t.exclusive || t.pending_exclusive > 0 do
-        Condition.wait t.gate_cond t.lock
-      done;
-      t.active_shared <- t.active_shared + 1)
-
-let exit_shared t =
-  Mutex.protect t.lock (fun () ->
-      t.active_shared <- t.active_shared - 1;
-      if t.active_shared = 0 then Condition.broadcast t.gate_cond)
-
-let enter_exclusive t =
-  Mutex.protect t.lock (fun () ->
-      t.pending_exclusive <- t.pending_exclusive + 1;
-      while t.exclusive || t.active_shared > 0 do
-        Condition.wait t.gate_cond t.lock
-      done;
-      t.pending_exclusive <- t.pending_exclusive - 1;
-      t.exclusive <- true)
-
-let exit_exclusive t =
-  Mutex.protect t.lock (fun () ->
-      t.exclusive <- false;
-      Condition.broadcast t.gate_cond)
 
 (* ------------------------------------------------------------------ *)
 (* Program resolution                                                  *)
@@ -258,7 +218,7 @@ let evict_sessions t =
 
 type slot = Pooled | Fresh of string
 
-(* Claim a warm session for exclusive use, or build a transient one.
+(* Claim a warm session for this request alone, or build a transient one.
    The transient session joins the table on release if the slot is
    still free; if a twin claimed it meanwhile, the transient is simply
    closed — both produced identical replies, one keeps the warmth. *)
@@ -423,19 +383,14 @@ let stats t =
     ("cache.degraded", if Vcache.degraded t.cache then 1 else 0);
   ]
 
-(* Per-request fault containment: a request's fault plan is armed for
-   exactly that request, under the exclusive side of the gate; whatever
-   escapes every inner containment layer (loop-level Aborted verdicts
-   absorb most injected faults) is caught here and turned into an error
-   *reply* — the daemon survives and the next request starts from a
-   clean faultpoint state. *)
+(* Per-request fault containment: a request's fault plan, fresh for
+   each request, is in scope for exactly that request's analysis, from
+   [engine.analyze] down; everything else (the serving loop included)
+   keeps the daemon's plan.  Whatever escapes every inner containment
+   layer (loop-level Aborted verdicts absorb most injected faults) is
+   caught here and turned into an error *reply* — the daemon survives. *)
 let run_analyze t (rq : Protocol.request) =
-  try
-    (match rq.Protocol.rq_faults with
-    | Some plan ->
-        Faultpoint.arm_string plan;
-        Faultpoint.reset_hits ()
-    | None -> ());
+  let analyze () =
     Faultpoint.hit_unit fp_analyze;
     match resolve_program (Option.get rq.Protocol.rq_program) with
     | Error msg -> Error msg
@@ -445,6 +400,11 @@ let run_analyze t (rq : Protocol.request) =
         Fun.protect
           ~finally:(fun () -> release_session t w slot)
           (fun () -> Ok (analyze_with_cache t w rq))
+  in
+  try
+    match rq.Protocol.rq_faults with
+    | Some plan -> Faultpoint.with_plan (Faultpoint.plan_of_string plan) analyze
+    | None -> analyze ()
   with
   | Faultpoint.Injected msg -> Error ("crash: " ^ msg)
   | Faultpoint.Bad_plan msg -> Error ("invalid fault plan: " ^ msg)
@@ -485,33 +445,19 @@ let handle t (rq : Protocol.request) =
   | Protocol.Shutdown -> finish (Protocol.ok_response ~id)
   | Protocol.Analyze -> (
       Metrics.incr t.metrics "dca_analyze_requests_total";
-      let faulty = rq.Protocol.rq_faults <> None in
-      if faulty then enter_exclusive t else enter_shared t;
-      let result =
-        Fun.protect
-          ~finally:(fun () ->
-            if faulty then begin
-              Faultpoint.disarm ();
-              exit_exclusive t
-            end
-            else exit_shared t)
-          (fun () ->
-            (* Per-request attribution: the analysis runs under its own
-               context (mirroring the daemon's counting flag) and is
-               folded into the daemon context afterwards, so concurrent
-               requests never contaminate each other and the aggregate
-               equals a serial daemon's.  Under tracing the daemon
-               context is used directly — event streams must stay
-               chronological per domain, and a trace is a whole-daemon
-               artifact. *)
-            let rctx =
-              if Telemetry.Ctx.tracing t.tele then t.tele
-              else Telemetry.Ctx.create ~counting:(Telemetry.Ctx.counting t.tele) ()
-            in
-            let r = Telemetry.with_ctx rctx (fun () -> run_analyze t rq) in
-            if rctx != t.tele then Telemetry.Ctx.merge_into ~into:t.tele rctx;
-            r)
+      (* Per-request attribution: the analysis runs under its own context
+         (mirroring the daemon's counting flag) and is folded into the
+         daemon context afterwards, so concurrent requests never
+         contaminate each other and the aggregate equals a serial
+         daemon's.  Under tracing the daemon context is used directly —
+         event streams must stay chronological per domain, and a trace
+         is a whole-daemon artifact. *)
+      let rctx =
+        if Telemetry.Ctx.tracing t.tele then t.tele
+        else Telemetry.Ctx.create ~counting:(Telemetry.Ctx.counting t.tele) ()
       in
+      let result = Telemetry.with_ctx rctx (fun () -> run_analyze t rq) in
+      if rctx != t.tele then Telemetry.Ctx.merge_into ~into:t.tele rctx;
       match result with
       | Ok eo ->
           Metrics.add t.metrics "dca_cache_hits_total" eo.eo_hits;

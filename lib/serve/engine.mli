@@ -5,10 +5,10 @@
     {!handle} is safe to call from many domains at once.  Each analyze
     request runs under its own {!Dca_support.Telemetry.Ctx} (folded into
     the daemon's context on completion, so aggregates match a serial
-    daemon's), claims its warm session exclusively (a contended key gets
-    a transient session), and fault-carrying requests hold a
-    writer-priority gate exclusively so process-global faultpoint plans
-    never leak into innocent requests.  Replies are byte-identical to a
+    daemon's) and claims its warm session exclusively (a contended key
+    gets a transient session); a fault-carrying request's plan is in
+    scope for its own analysis only, so it runs concurrently with clean
+    requests and never fires in them.  Replies are byte-identical to a
     serial daemon's under any interleaving: the report and its counters
     footer are pure folds over the per-loop results.  Parallelism also
     lives inside a request: unresolved loops run on the warm session's

@@ -41,7 +41,8 @@ type request = {
   rq_deadline_ms : int option;
   rq_heap_words : int option;
   rq_faults : string option;
-      (** {!Dca_support.Faultpoint} plan armed for this request only *)
+      (** {!Dca_support.Faultpoint} plan in scope for this request's
+          analysis only *)
   rq_no_cache : bool;  (** bypass cache lookup (the result is still stored) *)
   rq_no_static : bool;
       (** disable the {!Dca_analysis.Staticproof} fast-path, as

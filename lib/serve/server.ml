@@ -6,9 +6,8 @@
    and serves its request lines in order, so per-connection replies are
    sequential while the daemon as a whole serves [sv_workers]
    connections concurrently.  The engine underneath is concurrency-safe
-   (per-request telemetry contexts, a locked verdict cache, a
-   writer-priority gate for fault-carrying requests), so replies are
-   byte-identical to a serial daemon's.
+   (per-request telemetry contexts and fault plans, a locked verdict
+   cache), so replies are byte-identical to a serial daemon's.
 
    Request admission is a reservation: a worker reserves a budget slot
    under the state lock *before* handing the line to the engine and

@@ -116,49 +116,55 @@ let parse text =
   go [] entries
 
 (* ------------------------------------------------------------------ *)
-(* Armed state                                                         *)
+(* Plans and their scope                                               *)
 (* ------------------------------------------------------------------ *)
 
-type armed_spec = { a_spec : spec; mutable a_hits : int }
+type entry = { e_spec : spec; mutable e_hits : int }
 
-let armed_flag = Atomic.make false
-let mutex = Mutex.create ()
-let plan_state : armed_spec list ref = ref []
-let fired_total = ref 0
-let env_inited = ref false
-let explicitly_armed = ref false
+type plan = {
+  p_entries : entry array;
+  p_lock : Mutex.t;  (* the entries' hit counters and [p_fired] *)
+  mutable p_fired : int;
+}
 
-let arm plan =
-  Mutex.protect mutex (fun () ->
-      plan_state := List.map (fun s -> { a_spec = s; a_hits = 0 }) plan;
-      fired_total := 0;
-      explicitly_armed := true;
-      Atomic.set armed_flag (plan <> []))
+let plan specs =
+  {
+    p_entries = Array.of_list (List.map (fun s -> { e_spec = s; e_hits = 0 }) specs);
+    p_lock = Mutex.create ();
+    p_fired = 0;
+  }
 
-let arm_string text =
-  match parse text with Ok plan -> arm plan | Error e -> raise (Bad_plan e)
+let plan_of_string text =
+  match parse text with Ok specs -> plan specs | Error e -> raise (Bad_plan e)
 
-let disarm () = arm []
-let armed () = Atomic.get armed_flag
+let specs p = Array.to_list (Array.map (fun e -> e.e_spec) p.p_entries)
+let fired p = Mutex.protect p.p_lock (fun () -> p.p_fired)
 
-let reset_hits () =
-  Mutex.protect mutex (fun () -> List.iter (fun a -> a.a_hits <- 0) !plan_state)
+let default_plan = Atomic.make (plan [])
+let default_set = Atomic.make false
+
+(* The calling domain's innermost scope; [None] defers to the default.
+   A spawned domain starts in its parent's scope. *)
+let scope : plan option Domain.DLS.key =
+  Domain.DLS.new_key ~split_from_parent:Fun.id (fun () -> None)
+
+let current () =
+  match Domain.DLS.get scope with Some p -> p | None -> Atomic.get default_plan
+
+let with_plan p f =
+  let prev = Domain.DLS.get scope in
+  Domain.DLS.set scope (Some p);
+  Fun.protect ~finally:(fun () -> Domain.DLS.set scope prev) f
+
+let set_default p =
+  Atomic.set default_set true;
+  Atomic.set default_plan p
 
 let init_from_env () =
-  let run =
-    Mutex.protect mutex (fun () ->
-        if !env_inited || !explicitly_armed then false
-        else begin
-          env_inited := true;
-          true
-        end)
-  in
-  if run then
+  if not (Atomic.exchange default_set true) then
     match Sys.getenv_opt "DCA_FAULTS" with
     | None | Some "" -> ()
-    | Some text -> arm_string text
-
-let fired () = Mutex.protect mutex (fun () -> !fired_total)
+    | Some text -> Atomic.set default_plan (plan_of_string text)
 
 (* ------------------------------------------------------------------ *)
 (* Sites and hits                                                      *)
@@ -167,9 +173,10 @@ let fired () = Mutex.protect mutex (fun () -> !fired_total)
 type site = { s_name : string }
 
 let sites : (string, site) Hashtbl.t = Hashtbl.create 16
+let sites_lock = Mutex.create ()
 
 let site name =
-  Mutex.protect mutex (fun () ->
+  Mutex.protect sites_lock (fun () ->
       match Hashtbl.find_opt sites name with
       | Some s -> s
       | None ->
@@ -178,7 +185,7 @@ let site name =
           s)
 
 let known_sites () =
-  Mutex.protect mutex (fun () -> Hashtbl.fold (fun n _ acc -> n :: acc) sites [])
+  Mutex.protect sites_lock (fun () -> Hashtbl.fold (fun n _ acc -> n :: acc) sites [])
   |> List.sort compare
 
 type fire =
@@ -192,28 +199,28 @@ let busy_wait_ms ms =
     Domain.cpu_relax ()
   done
 
-let hit_slow ctx site =
+let hit_slow p ctx site =
   let firing =
-    Mutex.protect mutex (fun () ->
-        List.fold_left
-          (fun acc a ->
+    Mutex.protect p.p_lock (fun () ->
+        Array.fold_left
+          (fun acc e ->
             if
-              a.a_spec.sp_site = site.s_name
-              && (match a.a_spec.sp_ctx with None -> true | Some c -> Some c = ctx)
+              e.e_spec.sp_site = site.s_name
+              && (match e.e_spec.sp_ctx with None -> true | Some c -> Some c = ctx)
             then begin
-              a.a_hits <- a.a_hits + 1;
+              e.e_hits <- e.e_hits + 1;
               let fires =
-                if a.a_spec.sp_repeat then a.a_hits >= a.a_spec.sp_nth
-                else a.a_hits = a.a_spec.sp_nth
+                if e.e_spec.sp_repeat then e.e_hits >= e.e_spec.sp_nth
+                else e.e_hits = e.e_spec.sp_nth
               in
               if fires then begin
-                incr fired_total;
-                match acc with None -> Some a.a_spec.sp_action | Some _ -> acc
+                p.p_fired <- p.p_fired + 1;
+                match acc with None -> Some e.e_spec.sp_action | Some _ -> acc
               end
               else acc
             end
             else acc)
-          None !plan_state)
+          None p.p_entries)
   in
   match firing with
   | None -> Pass
@@ -224,7 +231,9 @@ let hit_slow ctx site =
       busy_wait_ms ms;
       Pass
 
-let hit ?ctx site = if not (Atomic.get armed_flag) then Pass else hit_slow ctx site
+let hit ?ctx site =
+  let p = current () in
+  if Array.length p.p_entries = 0 then Pass else hit_slow p ctx site
 
 let hit_unit ?ctx site =
   match hit ?ctx site with

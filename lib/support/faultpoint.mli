@@ -4,11 +4,10 @@
     [eval.step], [store.snapshot], [pool.task], [commutativity.replay],
     [driver.loop]) or the serve plane ([serve.worker] models a worker
     domain crash, [engine.analyze] an engine failure, [vcache.write] a
-    full or read-only cache disk) that consults a process-wide {e fault
-    plan} each time
-    execution passes through it.  A plan entry fires at the Nth hit of a
-    site — optionally filtered to one {e context} (a loop label, a
-    schedule name) — and injects one of four actions:
+    full or read-only cache disk) that consults the current {e fault
+    plan} each time execution passes through it.  A plan entry fires at
+    the Nth hit of a site — optionally filtered to one {e context} (a
+    loop label, a schedule name) — and injects one of four actions:
 
     - [raise]: raise {!Injected} at the site (models an analyzer bug);
     - [trap]: ask the caller to raise its domain-specific trap
@@ -18,14 +17,21 @@
     - [delay:MS]: busy-wait MS milliseconds, then continue (models a
       slow dependency; pairs with wall-clock deadline guards).
 
-    The same atomic-flag discipline as {!Telemetry} applies: with no
-    plan armed (the default) {!hit} is one atomic load plus a branch and
-    allocates nothing.
+    {2 Scope}
+
+    A plan is a value with its own hit counters.  It is installed for a
+    dynamic scope with {!with_plan}, like the ambient telemetry context:
+    the scope belongs to the calling domain, a domain spawned inside it
+    starts in it, and {!Pool.map} carries the submitter's plan into the
+    domain that runs each task.  Outside every scope the process default
+    plan applies ({!set_default}, [DCA_FAULTS]).  With an empty plan
+    current (the default) {!hit} is a domain-local read plus a branch,
+    takes no lock and allocates nothing.
 
     {2 Determinism}
 
-    Hit counting is per plan entry, under a single mutex on the armed
-    slow path.  A plan entry scoped to a context whose hits occur
+    Hit counting is per plan entry, under the plan's own mutex on the
+    armed slow path.  A plan entry scoped to a context whose hits occur
     sequentially (one loop's test, one schedule's replay) fires at a
     deterministic hit regardless of [--jobs]; an {e unscoped} entry on a
     site that is hit from several worker domains (e.g. a bare
@@ -51,7 +57,7 @@ exception Injected of string
     deterministic and recognizable ({!is_injected_message}). *)
 
 exception Bad_plan of string
-(** Raised by {!arm_string} / {!init_from_env} on a malformed plan. *)
+(** Raised by {!plan_of_string} / {!init_from_env} on a malformed plan. *)
 
 type action =
   | Raise
@@ -71,31 +77,41 @@ val parse : string -> (spec list, string) result
 val spec_to_string : spec -> string
 val plan_to_string : spec list -> string
 
-(** {1 Arming} *)
+(** {1 Plans} *)
 
-val arm : spec list -> unit
-(** Install a plan (replacing any previous one) with all hit counters
-    zeroed.  An empty list disarms. *)
+type plan
+(** A fault plan: its entries and their own hit counters. *)
 
-val arm_string : string -> unit
-(** [parse] + {!arm}; raises {!Bad_plan} on a parse error. *)
+val plan : spec list -> plan
+(** A plan over the entries, every hit counter at zero.  [plan []] is
+    the disarmed plan. *)
 
-val disarm : unit -> unit
-val armed : unit -> bool
+val plan_of_string : string -> plan
+(** [parse] + {!plan}; raises {!Bad_plan} on a parse error. *)
 
-val reset_hits : unit -> unit
-(** Zero every entry's hit counter without changing the plan — called
-    between programs of a batch sweep so a one-shot plan applies to each
-    program independently. *)
+val specs : plan -> spec list
+
+val fired : plan -> int
+(** Entry firings of this plan so far. *)
+
+val with_plan : plan -> (unit -> 'a) -> 'a
+(** [with_plan p f] runs [f] with [p] as the calling domain's plan and
+    restores the previous scope afterwards (also on exception). *)
+
+val current : unit -> plan
+(** The innermost plan in scope on the calling domain, else the process
+    default. *)
+
+val set_default : plan -> unit
+(** Install the process default plan, seen by every domain outside a
+    {!with_plan} scope.  It replaces whatever [DCA_FAULTS] installed. *)
 
 val init_from_env : unit -> unit
-(** One-shot environment wiring: the first call arms the [DCA_FAULTS]
-    plan if the variable is set (raising {!Bad_plan} if malformed);
-    later calls — and calls after an explicit {!arm} — are no-ops, so a
-    front end's [--faults] always wins. *)
-
-val fired : unit -> int
-(** Total plan-entry firings since the last {!arm}. *)
+(** One-shot environment wiring: the first call makes the [DCA_FAULTS]
+    plan the process default if the variable is set (raising
+    {!Bad_plan} if malformed); later calls — and calls after
+    {!set_default} — are no-ops, so a front end's [--faults] always
+    wins. *)
 
 (** {1 Sites} *)
 
@@ -115,8 +131,9 @@ type fire =
   | Fire_fuel  (** caller should raise its fuel-exhaustion exception *)
 
 val hit : ?ctx:string -> site -> fire
-(** Pass through the site.  Disarmed: one atomic load, returns [Pass],
-    allocates nothing.  Armed: bumps matching entries' hit counters and
+(** Pass through the site under the {!current} plan.  Disarmed: returns
+    [Pass], takes no lock, allocates nothing.  Armed: bumps matching
+    entries' hit counters and
     performs the first firing action — [Raise] raises {!Injected} right
     here, [Delay_ms] sleeps then returns [Pass], [Trap]/[Fuel] are
     returned for the caller to map onto its own exceptions. *)

@@ -4,9 +4,8 @@
    injected fault must surface as a classified verdict, never as a dead
    analysis).
 
-   The fault plan is process-global, exactly like the telemetry flags:
-   every test that arms a plan disarms it on the way out so suites stay
-   independent. *)
+   Every test scopes its own fresh plan with [FP.with_plan], so hit
+   counters never carry over between tests and suites stay independent. *)
 
 module FP = Dca_support.Faultpoint
 module T = Dca_support.Telemetry
@@ -63,65 +62,89 @@ let test_parse_errors () =
   bad "driver.loop=explode";
   bad "driver.loop=delay:soon";
   bad "=raise";
-  (* arm_string surfaces the same failure as the typed exception the CLI
-     maps to exit code 2 *)
-  (match FP.arm_string "nope" with
+  (* plan_of_string surfaces the same failure as the typed exception the
+     CLI maps to exit code 2 *)
+  (match FP.plan_of_string "nope" with
   | exception FP.Bad_plan _ -> ()
-  | () -> Alcotest.fail "arm_string of a bad plan must raise Bad_plan");
-  Alcotest.(check bool) "a failed arm leaves the registry disarmed" false (FP.armed ())
+  | _ -> Alcotest.fail "plan_of_string of a bad plan must raise Bad_plan");
+  Alcotest.(check int) "a failed parse leaves the current plan disarmed" 0
+    (List.length (FP.specs (FP.current ())))
 
 (* ------------------------------------------------------------------ *)
 (* Firing semantics                                                    *)
 (* ------------------------------------------------------------------ *)
 
 let test_disarmed_is_pass () =
-  FP.disarm ();
   let s = FP.site "test.disarmed" in
-  for _ = 1 to 100 do
-    match FP.hit s with
-    | FP.Pass -> ()
-    | _ -> Alcotest.fail "disarmed site must never fire"
-  done
+  FP.with_plan (FP.plan []) (fun () ->
+      let before = Gc.minor_words () in
+      for _ = 1 to 100 do
+        match FP.hit s with
+        | FP.Pass -> ()
+        | _ -> Alcotest.fail "disarmed site must never fire"
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.)) "disarmed hits allocate nothing" 0. words)
 
 let test_one_shot_vs_repeat () =
   let s = FP.site "test.oneshot" in
-  Fun.protect ~finally:FP.disarm (fun () ->
-      FP.arm [ spec "test.oneshot" ~nth:2 FP.Raise ];
+  let once = FP.plan [ spec "test.oneshot" ~nth:2 FP.Raise ] in
+  FP.with_plan once (fun () ->
       (match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "hit 1 must pass");
       (match FP.hit s with
       | exception FP.Injected _ -> ()
       | _ -> Alcotest.fail "hit 2 must raise");
-      (match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "hit 3 must pass (one-shot)");
-      Alcotest.(check int) "fired once" 1 (FP.fired ());
-      FP.arm [ spec "test.oneshot" ~nth:2 ~repeat:true FP.Raise ];
+      match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "hit 3 must pass (one-shot)");
+  Alcotest.(check int) "fired once" 1 (FP.fired once);
+  FP.with_plan (FP.plan [ spec "test.oneshot" ~nth:2 ~repeat:true FP.Raise ]) (fun () ->
       (match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "hit 1 must pass");
       (match FP.hit s with
       | exception FP.Injected _ -> ()
       | _ -> Alcotest.fail "hit 2 must raise");
-      (match FP.hit s with
+      match FP.hit s with
       | exception FP.Injected _ -> ()
       | _ -> Alcotest.fail "hit 3 must raise (repeating)");
-      (* a reset re-arms the one-shot clock *)
-      FP.arm [ spec "test.oneshot" FP.Raise ];
+  let first = FP.plan [ spec "test.oneshot" FP.Raise ] in
+  FP.with_plan first (fun () ->
       (match FP.hit s with
       | exception FP.Injected _ -> ()
       | _ -> Alcotest.fail "first hit must raise");
-      (match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "spent");
-      FP.reset_hits ();
+      match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "spent");
+  (* a fresh plan over the same entries restarts the one-shot clock, and
+     the spent plan keeps its own count *)
+  FP.with_plan (FP.plan (FP.specs first)) (fun () ->
       match FP.hit s with
       | exception FP.Injected _ -> ()
-      | _ -> Alcotest.fail "reset_hits must re-enable the one-shot")
+      | _ -> Alcotest.fail "a fresh plan must re-enable the one-shot");
+  Alcotest.(check int) "the spent plan fired once" 1 (FP.fired first)
+
+(* Scopes nest and restore: an inner plan shadows the outer one and
+   counts its own hits, leaving the outer plan's counters untouched; a
+   domain spawned inside a scope starts in it. *)
+let test_plan_scopes () =
+  let s = FP.site "test.scope" in
+  let outer = FP.plan [ spec "test.scope" ~nth:2 FP.Raise ] in
+  FP.with_plan outer (fun () ->
+      (match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "outer hit 1 must pass");
+      FP.with_plan (FP.plan []) (fun () ->
+          match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "the inner plan shadows");
+      (match Domain.join (Domain.spawn (fun () -> FP.hit s)) with
+      | exception FP.Injected _ -> ()
+      | _ -> Alcotest.fail "a spawned domain must see its parent's plan (hit 2)"));
+  Alcotest.(check int) "the outer plan counted its own hits only" 1 (FP.fired outer);
+  match FP.hit s with
+  | FP.Pass -> ()
+  | _ -> Alcotest.fail "outside every scope the disarmed default applies"
 
 let test_ctx_scoping_and_actions () =
   let s = FP.site "test.scoped" in
-  Fun.protect ~finally:FP.disarm (fun () ->
-      FP.arm [ spec "test.scoped" ~ctx:"a" ~repeat:true FP.Trap ];
+  FP.with_plan (FP.plan [ spec "test.scoped" ~ctx:"a" ~repeat:true FP.Trap ]) (fun () ->
       (match FP.hit ~ctx:"b" s with FP.Pass -> () | _ -> Alcotest.fail "ctx 'b' must not fire");
       (match FP.hit s with FP.Pass -> () | _ -> Alcotest.fail "no-ctx hit must not fire");
-      (match FP.hit ~ctx:"a" s with
+      match FP.hit ~ctx:"a" s with
       | FP.Fire_trap -> ()
       | _ -> Alcotest.fail "ctx 'a' must fire as a trap");
-      FP.arm [ spec "test.scoped" ~repeat:true FP.Fuel ];
+  FP.with_plan (FP.plan [ spec "test.scoped" ~repeat:true FP.Fuel ]) (fun () ->
       (match FP.hit ~ctx:"anything" s with
       | FP.Fire_fuel -> ()
       | _ -> Alcotest.fail "unscoped spec must fire for any ctx");
@@ -188,15 +211,14 @@ let test_eval_no_guard_unaffected () =
 
 let test_eval_step_injection () =
   let p = compile long_loop_src in
-  Fun.protect ~finally:FP.disarm (fun () ->
-      FP.arm [ spec "eval.step" FP.Trap ];
+  FP.with_plan (FP.plan [ spec "eval.step" FP.Trap ]) (fun () ->
       let ctx = Eval.create p in
-      (match Eval.run_main ctx with
+      match Eval.run_main ctx with
       | exception Eval.Trap msg ->
           Alcotest.(check bool) "trap carries the injection marker" true
             (FP.is_injected_message msg)
       | () -> Alcotest.fail "an armed eval.step trap must fire");
-      FP.arm [ spec "eval.step" FP.Fuel ];
+  FP.with_plan (FP.plan [ spec "eval.step" FP.Fuel ]) (fun () ->
       let ctx = Eval.create p in
       match Eval.run_main ctx with
       | exception Eval.Out_of_fuel -> ()
@@ -218,8 +240,11 @@ let test_fuel_exhaustion_untestable () =
     Fun.protect
       ~finally:(fun () -> Unix.putenv "DCA_CHECKPOINT" "")
       (fun () ->
-        Session.with_session ~jobs ~config:light_config
-          ~spec:(Commutativity.make_run_spec ~fuel:2_000 [])
+        Session.with_session
+          ~options:
+            Session.Options.(
+              default |> with_jobs jobs |> with_config light_config
+              |> with_spec (Commutativity.make_run_spec ~fuel:2_000 []))
           (Session.Source { file = "<fuel>"; source = long_loop_src; input = [] })
           (fun s ->
             (match Session.dca_results s with
@@ -288,8 +313,7 @@ let test_injected_replay_trap () =
     }
     |}
   in
-  Fun.protect ~finally:FP.disarm (fun () ->
-      FP.arm [ spec "commutativity.replay" ~ctx:"reverse" FP.Trap ];
+  FP.with_plan (FP.plan [ spec "commutativity.replay" ~ctx:"reverse" FP.Trap ]) (fun () ->
       (* prover off: the loop is statically provable, and a proved loop
          never reaches the replay faultpoint *)
       let _, results = analyze ~config:light_config ~static:false src in
@@ -324,7 +348,8 @@ let three_loops_src =
   |}
 
 let session_lines jobs =
-  Session.with_session ~jobs ~config:light_config
+  Session.with_session
+    ~options:Session.Options.(default |> with_jobs jobs |> with_config light_config)
     (Session.Source { file = "<fault>"; source = three_loops_src; input = [] })
     (fun s ->
       let report = Session.report s in
@@ -337,63 +362,64 @@ let session_lines jobs =
       (report, labels))
 
 let test_containment_is_deterministic () =
-  FP.disarm ();
   let baseline, labels = session_lines 1 in
   let victim = match labels with _ :: v :: _ -> v | _ -> Alcotest.fail "need >= 2 loops" in
-  Fun.protect ~finally:FP.disarm (fun () ->
-      FP.arm [ spec "driver.loop" ~ctx:victim FP.Raise ];
-      let faulted, _ = (FP.reset_hits (); session_lines 1) in
-      let faulted4, _ = (FP.reset_hits (); session_lines 4) in
-      (* the whole faulted report — victim verdict, sibling verdicts,
-         ordering, footer — must be byte-identical across job counts *)
-      Alcotest.(check string) "jobs=1 vs jobs=4 under fault" faulted faulted4;
-      let split r = String.split_on_char '\n' r in
-      let is_victim line =
-        (* report lines start with the padded loop label *)
-        String.length line > 2
-        &&
-        let body = String.trim line in
-        String.length body >= String.length victim
-        && String.sub body 0 (String.length victim) = victim
-      in
-      let base_lines = split baseline and fault_lines = split faulted in
-      Alcotest.(check int) "same line count" (List.length base_lines) (List.length fault_lines);
-      List.iter2
-        (fun b f ->
-          if is_victim b then begin
-            Alcotest.(check bool)
-              (Printf.sprintf "victim is aborted (%s)" f)
-              true
-              (FP.is_injected_message f
-              &&
-              let has sub =
-                let n = String.length sub and m = String.length f in
-                let rec go i = i + n <= m && (String.sub f i n = sub || go (i + 1)) in
-                go 0
-              in
-              has "aborted: crash:")
-          end
-          else if
-            (* every non-victim line, headers and counter footers included,
-               may differ only in the aggregate columns *)
-            is_victim f
-          then Alcotest.fail "victim line moved"
-          else if b <> f then begin
-            (* the only other lines allowed to change are the aggregate
-               header and the counters footer *)
-            let aggregate line =
-              let has sub s =
-                let n = String.length sub and m = String.length s in
-                let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-                go 0
-              in
-              has "DCA:" line || has "counters:" line
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "only aggregates may drift (%S vs %S)" b f)
-              true (aggregate b && aggregate f)
-          end)
-        base_lines fault_lines)
+  let under_fault jobs =
+    FP.with_plan (FP.plan [ spec "driver.loop" ~ctx:victim FP.Raise ]) (fun () ->
+        session_lines jobs)
+  in
+  let faulted, _ = under_fault 1 in
+  let faulted4, _ = under_fault 4 in
+  (* the whole faulted report — victim verdict, sibling verdicts,
+     ordering, footer — must be byte-identical across job counts *)
+  Alcotest.(check string) "jobs=1 vs jobs=4 under fault" faulted faulted4;
+  let split r = String.split_on_char '\n' r in
+  let is_victim line =
+    (* report lines start with the padded loop label *)
+    String.length line > 2
+    &&
+    let body = String.trim line in
+    String.length body >= String.length victim
+    && String.sub body 0 (String.length victim) = victim
+  in
+  let base_lines = split baseline and fault_lines = split faulted in
+  Alcotest.(check int) "same line count" (List.length base_lines) (List.length fault_lines);
+  List.iter2
+    (fun b f ->
+      if is_victim b then begin
+        Alcotest.(check bool)
+          (Printf.sprintf "victim is aborted (%s)" f)
+          true
+          (FP.is_injected_message f
+          &&
+          let has sub =
+            let n = String.length sub and m = String.length f in
+            let rec go i = i + n <= m && (String.sub f i n = sub || go (i + 1)) in
+            go 0
+          in
+          has "aborted: crash:")
+      end
+      else if
+        (* every non-victim line, headers and counter footers included,
+           may differ only in the aggregate columns *)
+        is_victim f
+      then Alcotest.fail "victim line moved"
+      else if b <> f then begin
+        (* the only other lines allowed to change are the aggregate
+           header and the counters footer *)
+        let aggregate line =
+          let has sub s =
+            let n = String.length sub and m = String.length s in
+            let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+            go 0
+          in
+          has "DCA:" line || has "counters:" line
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "only aggregates may drift (%S vs %S)" b f)
+          true (aggregate b && aggregate f)
+      end)
+    base_lines fault_lines
 
 (* A deadline that cannot be met is retried once with a 4x budget, then
    surfaced as a classified abort with the retry count. *)
@@ -434,6 +460,7 @@ let suites =
         Alcotest.test_case "disarmed sites pass" `Quick test_disarmed_is_pass;
         Alcotest.test_case "one-shot vs repeating" `Quick test_one_shot_vs_repeat;
         Alcotest.test_case "ctx scoping and actions" `Quick test_ctx_scoping_and_actions;
+        Alcotest.test_case "plan scopes nest and restore" `Quick test_plan_scopes;
       ] );
     ( "fault.guards",
       [

@@ -345,10 +345,7 @@ let test_vcache_concurrent_stats_exact () =
 let test_vcache_write_failure_degrades () =
   let dir = fresh_dir "vcache" in
   let degrades = ref 0 in
-  Faultpoint.arm_string "vcache.write@1=raise";
-  Fun.protect
-    ~finally:Faultpoint.disarm
-    (fun () ->
+  Faultpoint.with_plan (Faultpoint.plan_of_string "vcache.write@1=raise") (fun () ->
       let c = Vcache.create ~dir ~on_degrade:(fun _ -> incr degrades) () in
       Vcache.store c "k1" (entry Driver.Commutative);
       Alcotest.(check bool) "degraded latched" true (Vcache.degraded c);
@@ -643,10 +640,7 @@ let test_engine_errors () =
    once, and warm replies are still byte-identical to the cold ones. *)
 let test_engine_degraded_cache_still_serves () =
   let dir = fresh_dir "engine" in
-  Faultpoint.arm_string "vcache.write@1=raise";
-  Fun.protect
-    ~finally:Faultpoint.disarm
-    (fun () ->
+  Faultpoint.with_plan (Faultpoint.plan_of_string "vcache.write@1=raise") (fun () ->
       let engine = Engine.create ~cache_dir:dir () in
       Fun.protect
         ~finally:(fun () -> Engine.close engine)
@@ -1053,21 +1047,20 @@ let test_server_worker_crash_respawns () =
   let dir = fresh_dir "server" in
   let socket = Filename.concat dir "dca.sock" in
   let cfg = { (Server.default_config socket) with Server.sv_jobs = Some 1; sv_workers = 1 } in
-  let server = start_server cfg in
-  Faultpoint.arm_string "serve.worker@1=raise";
-  Fun.protect
-    ~finally:Faultpoint.disarm
-    (fun () ->
-      let backoff =
-        { Client.default_backoff with Client.bo_attempts = 8; bo_base_ms = 100.; bo_seed = 1 }
-      in
-      let rq = { (analyze_rq (two_funcs 2)) with Protocol.rq_id = 31 } in
-      match Client.request_retry ~backoff socket rq with
-      | Ok rp ->
-          Alcotest.(check bool) "retry converged to ok" true (Protocol.ok rp);
-          Alcotest.(check int) "nothing was cached by the crashed attempt" 2
-            rp.Protocol.rp_misses
-      | Error e -> Alcotest.fail e);
+  (* the daemon's plan; the readiness ping is the worker site's first hit *)
+  let server =
+    Faultpoint.with_plan (Faultpoint.plan_of_string "serve.worker@2=raise") (fun () ->
+        start_server cfg)
+  in
+  let backoff =
+    { Client.default_backoff with Client.bo_attempts = 8; bo_base_ms = 100.; bo_seed = 1 }
+  in
+  let rq = { (analyze_rq (two_funcs 2)) with Protocol.rq_id = 31 } in
+  (match Client.request_retry ~backoff socket rq with
+  | Ok rp ->
+      Alcotest.(check bool) "retry converged to ok" true (Protocol.ok rp);
+      Alcotest.(check int) "nothing was cached by the crashed attempt" 2 rp.Protocol.rp_misses
+  | Error e -> Alcotest.fail e);
   let stats = request_stats socket in
   Alcotest.(check int) "exactly one respawn" 1
     (metrics_counter stats "dca_worker_restarts_total");
@@ -1090,27 +1083,104 @@ let test_server_max_requests_with_crash () =
       sv_max_requests = Some budget;
     }
   in
-  let server = start_server cfg in
-  (* the readiness ping took slot 1; the third post-arm request crashes *)
-  Faultpoint.arm_string "serve.worker@3=raise";
+  (* the readiness ping took slot 1 and the worker site's first hit; the
+     third request after it crashes *)
+  let server =
+    Faultpoint.with_plan (Faultpoint.plan_of_string "serve.worker@4=raise") (fun () ->
+        start_server cfg)
+  in
   let ok = ref 0 and busy = ref 0 in
-  Fun.protect
-    ~finally:Faultpoint.disarm
-    (fun () ->
-      for i = 2 to budget do
-        match
-          Client.with_client socket (fun c ->
-              Client.request c { Protocol.default_request with Protocol.rq_id = i })
-        with
-        | Ok rp when Protocol.ok rp -> incr ok
-        | Ok rp when rp.Protocol.rp_status = Protocol.Busy -> incr busy
-        | Ok _ -> Alcotest.fail "unexpected error reply"
-        | Error e -> Alcotest.failf "request %d: %s" i e
-      done);
+  for i = 2 to budget do
+    match
+      Client.with_client socket (fun c ->
+          Client.request c { Protocol.default_request with Protocol.rq_id = i })
+    with
+    | Ok rp when Protocol.ok rp -> incr ok
+    | Ok rp when rp.Protocol.rp_status = Protocol.Busy -> incr busy
+    | Ok _ -> Alcotest.fail "unexpected error reply"
+    | Error e -> Alcotest.failf "request %d: %s" i e
+  done;
   let served = Domain.join server in
   Alcotest.(check int) "daemon served exactly the budget" budget served;
   Alcotest.(check int) "one crash became a busy reply" 1 !busy;
   Alcotest.(check int) "every other request was served" (budget - 2) !ok
+
+(* One request on a fresh connection, no retry: the first attempt's reply. *)
+let request_once socket rq =
+  match Client.with_client socket (fun c -> Client.request c rq) with
+  | Ok rp -> rp
+  | Error e -> Alcotest.fail e
+
+(* The daemon's plan survives fault-carrying requests: a request's own
+   plan replaces it inside that request's analysis only, and neither
+   disarms it nor spends its hits. *)
+let test_server_daemon_plan_survives_request_plan () =
+  let dir = fresh_dir "server" in
+  let socket = Filename.concat dir "dca.sock" in
+  let cfg = { (Server.default_config socket) with Server.sv_jobs = Some 1; sv_workers = 1 } in
+  let server =
+    Faultpoint.with_plan (Faultpoint.plan_of_string "engine.analyze@2+=raise") (fun () ->
+        start_server cfg)
+  in
+  let analyze ?faults id =
+    request_once socket { (analyze_rq ?faults (two_funcs 2)) with Protocol.rq_id = id }
+  in
+  let crash = Some "crash: injected fault at engine.analyze" in
+  Alcotest.(check bool) "first plain analyze is ok" true (Protocol.ok (analyze 41));
+  Alcotest.(check (option string)) "second plain analyze hits the daemon plan" crash
+    (analyze 42).Protocol.rp_error;
+  Alcotest.(check bool) "the request plan runs instead of the daemon plan" true
+    (Protocol.ok (analyze ~faults:"commutativity.golden@1=raise" 43));
+  Alcotest.(check (option string)) "the daemon plan is still armed afterwards" crash
+    (analyze 44).Protocol.rp_error;
+  request_shutdown socket;
+  ignore (Domain.join server)
+
+(* A request's plan never reaches another connection: while a delayed
+   fault-carrying analyze holds one worker, a stats and a clean analyze
+   on a second connection are served on their first attempt — its
+   [serve.worker] entry crashes no worker — and the clean analyze
+   finishes first, since nothing serializes fault-carrying requests. *)
+let test_server_request_plan_stays_in_its_request () =
+  let dir = fresh_dir "server" in
+  let socket = Filename.concat dir "dca.sock" in
+  let cfg = { (Server.default_config socket) with Server.sv_jobs = Some 1; sv_workers = 2 } in
+  let server = start_server cfg in
+  let faulty =
+    Domain.spawn (fun () ->
+        let faults = "engine.analyze@1=delay:1500;serve.worker@1=raise" in
+        let rp =
+          request_once socket { (analyze_rq ~faults (two_funcs 2)) with Protocol.rq_id = 51 }
+        in
+        (rp, Telemetry.now_ns ()))
+  in
+  Unix.sleepf 0.3 (* one worker is now inside the delay *);
+  let stats, clean =
+    match
+      Client.with_client socket (fun c ->
+          match
+            Client.request c
+              { Protocol.default_request with Protocol.rq_id = 52; rq_op = Protocol.Stats }
+          with
+          | Error _ as e -> e
+          | Ok stats -> (
+              match Client.request c { (analyze_rq (two_funcs 3)) with Protocol.rq_id = 53 } with
+              | Error _ as e -> e
+              | Ok clean -> Ok (stats, clean)))
+    with
+    | Ok replies -> replies
+    | Error e -> Alcotest.fail e
+  in
+  let clean_done = Telemetry.now_ns () in
+  Alcotest.(check bool) "stats served on the first attempt" true (Protocol.ok stats);
+  Alcotest.(check bool) "clean analyze served on the first attempt" true (Protocol.ok clean);
+  let faulted, faulty_done = Domain.join faulty in
+  Alcotest.(check bool) "the delayed fault request completes" true (Protocol.ok faulted);
+  Alcotest.(check bool) "the clean analyze finished first" true (clean_done < faulty_done);
+  Alcotest.(check int) "no worker crashed" 0
+    (metrics_counter (request_stats socket) "dca_worker_restarts_total");
+  request_shutdown socket;
+  ignore (Domain.join server)
 
 (* Graceful drain: SIGTERM mid-request stops admissions, lets the
    in-flight request finish, removes the socket, and Server.run returns
@@ -1252,18 +1322,13 @@ let test_options_setters_and_signature () =
   Alcotest.(check bool) "equal options, equal signatures" true
     (signature (default |> with_jobs 4) = signature (default |> with_jobs 4))
 
-(* The deprecated per-field arguments still work and win over the
-   corresponding options field — embedders migrate at their own pace. *)
-let test_options_legacy_override () =
+(* The options record is the one way to configure a session: its [jobs]
+   field is the session's pool width. *)
+let test_options_set_jobs () =
   let bm = Dca_progs.Registry.find_exn "DC" in
-  let s = Session.create ~options:Session.Options.(default |> with_jobs 2) ~jobs:1 (Session.Benchmark bm) in
-  Alcotest.(check int) "legacy ~jobs wins" 1 (Session.jobs s);
-  Alcotest.(check bool) "resolved options reflect the override" true
-    ((Session.options s).Session.Options.jobs = Some 1);
-  Session.close s;
-  let s2 = Session.create ~options:Session.Options.(default |> with_jobs 2) (Session.Benchmark bm) in
-  Alcotest.(check int) "options field used when no legacy arg" 2 (Session.jobs s2);
-  Session.close s2
+  let s = Session.create ~options:Session.Options.(default |> with_jobs 2) (Session.Benchmark bm) in
+  Alcotest.(check int) "options field used" 2 (Session.jobs s);
+  Session.close s
 
 (* Per-session telemetry: a session's delta covers its own work only;
    the global snapshot keeps accumulating across sessions. *)
@@ -1287,7 +1352,7 @@ let test_options_telemetry_delta () =
           let second = Session.telemetry s in
           Alcotest.(check int) "second session sees only its own work" golden1
             (List.assoc "dca.golden_runs" second);
-          let global = List.assoc "dca.golden_runs" (Session.telemetry_global s) in
+          let global = List.assoc "dca.golden_runs" (Telemetry.Ctx.counters Telemetry.Ctx.global) in
           Alcotest.(check bool) "global snapshot accumulates" true (global >= 2 * golden1)))
 
 let suites =
@@ -1349,6 +1414,10 @@ let suites =
         Alcotest.test_case "sheds when overloaded" `Quick test_server_sheds_when_overloaded;
         Alcotest.test_case "request timeout" `Quick test_server_request_timeout;
         Alcotest.test_case "worker crash respawns" `Quick test_server_worker_crash_respawns;
+        Alcotest.test_case "daemon plan survives request plans" `Quick
+          test_server_daemon_plan_survives_request_plan;
+        Alcotest.test_case "request plan stays in its request" `Quick
+          test_server_request_plan_stays_in_its_request;
         Alcotest.test_case "max-requests exact across a crash" `Quick
           test_server_max_requests_with_crash;
         Alcotest.test_case "SIGTERM drains gracefully" `Quick test_server_sigterm_drains;
@@ -1363,7 +1432,7 @@ let suites =
     ( "serve.options",
       [
         Alcotest.test_case "setters and signature" `Quick test_options_setters_and_signature;
-        Alcotest.test_case "legacy arguments override" `Quick test_options_legacy_override;
+        Alcotest.test_case "options field sets jobs" `Quick test_options_set_jobs;
         Alcotest.test_case "per-session telemetry delta" `Quick test_options_telemetry_delta;
       ] );
   ]

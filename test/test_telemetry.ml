@@ -24,6 +24,8 @@ let light_config =
     cc_max_invocations = 2;
   }
 
+let light_options jobs = Session.Options.(default |> with_jobs jobs |> with_config light_config)
+
 (* ------------------------------------------------------------------ *)
 (* Clock and counter primitives                                        *)
 (* ------------------------------------------------------------------ *)
@@ -105,7 +107,7 @@ let work_snapshot ?checkpoint bm jobs =
     (fun () ->
       T.reset ();
       T.set_counting true;
-      Session.with_session ~jobs ~config:light_config (Session.Benchmark bm) (fun s ->
+      Session.with_session ~options:(light_options jobs) (Session.Benchmark bm) (fun s ->
           ignore (Session.dca_results s));
       T.counters ~kind:T.Work ())
 
@@ -141,7 +143,7 @@ let test_fault_counters_jobs_invariant () =
   let bm = Dca_progs.Registry.find_exn "DC" in
   (* discover a victim label from a fault-free sequential run *)
   let victim =
-    Session.with_session ~jobs:1 ~config:light_config (Session.Benchmark bm) (fun s ->
+    Session.with_session ~options:(light_options 1) (Session.Benchmark bm) (fun s ->
         match
           List.filter_map
             (fun (r : Dca_core.Driver.loop_result) ->
@@ -152,27 +154,24 @@ let test_fault_counters_jobs_invariant () =
         | v :: _ -> v
         | [] -> Alcotest.fail "DC has no tested loop")
   in
-  Fun.protect ~finally:FP.disarm (fun () ->
-      FP.arm
-        [
-          {
-            FP.sp_site = "driver.loop";
-            sp_ctx = Some victim;
-            sp_nth = 1;
-            sp_repeat = false;
-            sp_action = FP.Raise;
-          };
-        ];
-      let snapshot jobs =
-        FP.reset_hits ();
-        work_snapshot bm jobs
-      in
-      let seq = snapshot 1 in
-      let par = snapshot 4 in
-      check_snapshots "DC under a victim fault: jobs=1 vs jobs=4" seq par;
-      let v name = try List.assoc name seq with Not_found -> 0 in
-      Alcotest.(check int) "exactly one loop aborted" 1 (v "dca.aborted");
-      Alcotest.(check int) "the abort is attributed to the injection" 1 (v "dca.faults-injected"))
+  let victim_fault =
+    [
+      {
+        FP.sp_site = "driver.loop";
+        sp_ctx = Some victim;
+        sp_nth = 1;
+        sp_repeat = false;
+        sp_action = FP.Raise;
+      };
+    ]
+  in
+  let snapshot jobs = FP.with_plan (FP.plan victim_fault) (fun () -> work_snapshot bm jobs) in
+  let seq = snapshot 1 in
+  let par = snapshot 4 in
+  check_snapshots "DC under a victim fault: jobs=1 vs jobs=4" seq par;
+  let v name = try List.assoc name seq with Not_found -> 0 in
+  Alcotest.(check int) "exactly one loop aborted" 1 (v "dca.aborted");
+  Alcotest.(check int) "the abort is attributed to the injection" 1 (v "dca.faults-injected")
 
 (* ------------------------------------------------------------------ *)
 (* Contexts                                                             *)
@@ -293,7 +292,7 @@ let with_tracing f =
 let test_analysis_trace_balanced () =
   with_tracing (fun () ->
       let bm = Dca_progs.Registry.find_exn "DC" in
-      Session.with_session ~jobs:2 ~config:light_config (Session.Benchmark bm) (fun s ->
+      Session.with_session ~options:(light_options 2) (Session.Benchmark bm) (fun s ->
           ignore (Session.dca_results s));
       let evs = T.events () in
       Alcotest.(check bool) "analysis recorded events" true (evs <> []);
