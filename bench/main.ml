@@ -185,6 +185,35 @@ let sample_ns ~reps f =
          f ();
          float_of_int (Telemetry.now_ns () - t0)))
 
+(* Integral figures print as integers, ratios with two decimals. *)
+let number v = if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%.2f" v
+
+(* Allocation of LU's jobs-1 dynamic stage alone: minor words per
+   executed instruction and minor collections.  Frontend and proginfo are
+   forced first, and a minor collection empties the nursery, so at the
+   default minor heap the words repeat from run to run and the
+   collections to within a few percent (a major cycle that ends
+   mid-stage empties the minor heap too).  Smoke mode fails above these
+   limits. *)
+let max_words_per_instr = 5.0
+let max_minor_collections = 500
+
+let dynamic_alloc bm =
+  let open Dca_core in
+  let ctx = Telemetry.Ctx.create ~counting:true () in
+  let options = Session.Options.(default |> with_jobs 1 |> with_telemetry ctx) in
+  Session.with_session ~options (Session.Benchmark bm) (fun s ->
+      ignore (Session.proginfo s);
+      Gc.minor ();
+      let g0 = Gc.quick_stat () in
+      ignore (Session.dca_results s);
+      let g1 = Gc.quick_stat () in
+      let instrs =
+        Option.value ~default:0 (List.assoc_opt "interp.instructions" (Telemetry.Ctx.counters ctx))
+      in
+      ( (g1.Gc.minor_words -. g0.Gc.minor_words) /. float_of_int (max 1 instrs),
+        g1.Gc.minor_collections - g0.Gc.minor_collections ))
+
 let run_interp () =
   section "Interpreter micro-benchmarks";
   let open Dca_interp in
@@ -195,7 +224,7 @@ let run_interp () =
   let bms = [ Registry.find_exn "LU"; Registry.find_exn "treeadd" ] in
   let entries = ref [] in
   let push name v =
-    Printf.printf "  %-34s %14.0f\n%!" name v;
+    Printf.printf "  %-34s %14s\n%!" name (number v);
     entries := (name, v) :: !entries
   in
   (* 1. golden runs: the pre-decoded evaluator end to end *)
@@ -255,18 +284,29 @@ let run_interp () =
           push (Printf.sprintf "dca_%s_%s" bm.Benchmark.bm_name key) (float_of_int v))
         counters)
     bms;
+  (* 4. allocation of the dynamic stage: every minor collection is a
+     stop-the-world rendezvous of all pool domains at jobs > 1 *)
+  let words_per_instr, minor_collections = dynamic_alloc (Registry.find_exn "LU") in
+  push "dca_LU_minor_words_per_instr" words_per_instr;
+  push "dca_LU_minor_collections" (float_of_int minor_collections);
   let oc = open_out "BENCH_interp.json" in
   output_string oc "{\n";
   let rec emit = function
     | [] -> ()
     | (name, v) :: rest ->
-        Printf.fprintf oc "  %S: %.0f%s\n" name v (if rest = [] then "" else ",");
+        Printf.fprintf oc "  %S: %s%s\n" name (number v) (if rest = [] then "" else ",");
         emit rest
   in
   emit (List.rev !entries);
   output_string oc "}\n";
   close_out oc;
-  Printf.printf "  wrote BENCH_interp.json\n%!"
+  Printf.printf "  wrote BENCH_interp.json\n%!";
+  if smoke && (words_per_instr > max_words_per_instr || minor_collections > max_minor_collections)
+  then begin
+    Printf.eprintf "LU dynamic stage allocates %.2f words/instr, %d minor GCs (limits %.0f, %d)\n"
+      words_per_instr minor_collections max_words_per_instr max_minor_collections;
+    exit 1
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Serve daemon: verdict-cache cold vs warm (BENCH_serve.json)         *)

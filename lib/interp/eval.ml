@@ -165,23 +165,26 @@ let decode_func layout (f : Ir.func) =
    run), so decoded function tables are memoized on physical program
    identity.  A decoded table is immutable once published, hence safe to
    share between contexts and across domains; the mutex only guards the
-   cache list.  The cache keeps the last few programs alive — bounded, and
-   negligible next to their heaps. *)
-let decode_cache : (Ir.program * (string, dfunc) Hashtbl.t) list ref = ref []
+   cache list.  Entries are ephemerons keyed on the program: a table lives
+   only as long as its program is reachable, so a batch of one-shot
+   sessions does not keep the code of finished programs (at jobs 2 that
+   retained code cost several MB of peak RSS).  The list is bounded. *)
+let decode_cache : (Ir.program, (string, dfunc) Hashtbl.t) Ephemeron.K1.t list ref = ref []
 let decode_cache_mutex = Mutex.create ()
 let decode_cache_limit = 8
 
 let decoded_funcs prog =
   Mutex.protect decode_cache_mutex (fun () ->
-      match List.find_opt (fun (p, _) -> p == prog) !decode_cache with
-      | Some (_, funcs) -> funcs
+      match List.find_map (fun e -> Ephemeron.K1.query e prog) !decode_cache with
+      | Some funcs -> funcs
       | None ->
           let funcs = Hashtbl.create 16 in
           List.iter
             (fun f -> Hashtbl.replace funcs f.Ir.fname (decode_func prog.Ir.p_layout f))
             prog.Ir.p_funcs;
           decode_cache :=
-            (prog, funcs) :: List.filteri (fun k _ -> k < decode_cache_limit - 1) !decode_cache;
+            Ephemeron.K1.make prog funcs
+            :: List.filteri (fun k _ -> k < decode_cache_limit - 1) !decode_cache;
           funcs)
 
 let create ?(fuel = default_fuel) ?deadline_ns ?heap_words ?(input = []) prog =
@@ -232,13 +235,23 @@ let read_var frame (v : Ir.var) =
 
 let write_var frame (v : Ir.var) x = frame.regs.(v.vslot) <- x
 
-(* Operand evaluation outside any instruction (terminators): register
-   reads are attributed to instruction id -1, constants are free. *)
-let eval_dop ctx frame = function
+(* Operand evaluation with register-read events attributed to
+   instruction [iid]; constants are free.  The event location is built
+   only when a sink listens. *)
+let ev ctx frame iid = function
   | Dvar v ->
-      (match ctx.sink with Some s -> s.Events.on_read (Events.Lreg v.Ir.vid) (-1) | None -> ());
+      (match ctx.sink with Some s -> s.Events.on_read (Events.Lreg v.Ir.vid) iid | None -> ());
       read_var frame v
   | Dconst v -> v
+
+(* Register definition by instruction [iid]. *)
+let def ctx frame iid (v : Ir.var) x =
+  (match ctx.sink with Some s -> s.Events.on_write (Events.Lreg v.Ir.vid) iid | None -> ());
+  write_var frame v x
+
+(* Operand evaluation outside any instruction (terminators): register
+   reads are attributed to instruction id -1. *)
+let eval_dop ctx frame op = ev ctx frame (-1) op
 
 let eval_operand ctx frame op = eval_dop ctx frame (decode_op op)
 
@@ -252,20 +265,25 @@ let int2 name f a b =
 let float2 name f a b =
   match (a, b) with VFloat x, VFloat y -> VFloat (f x y) | _ -> trap "%s expects floats" name
 
+(* Comparison results are shared constants: values are immutable, so a
+   comparison allocates nothing. *)
+let vtrue = VInt 1
+let vfalse = VInt 0
+let of_bool b = if b then vtrue else vfalse
+
+let holds rel cmp =
+  match rel with
+  | Ir.Req -> cmp = 0
+  | Ir.Rne -> cmp <> 0
+  | Ir.Rlt -> cmp < 0
+  | Ir.Rle -> cmp <= 0
+  | Ir.Rgt -> cmp > 0
+  | Ir.Rge -> cmp >= 0
+
 let compare_values rel a b =
-  let of_bool b = VInt (if b then 1 else 0) in
-  let ord cmp =
-    match rel with
-    | Ir.Req -> cmp = 0
-    | Ir.Rne -> cmp <> 0
-    | Ir.Rlt -> cmp < 0
-    | Ir.Rle -> cmp <= 0
-    | Ir.Rgt -> cmp > 0
-    | Ir.Rge -> cmp >= 0
-  in
   match (a, b) with
-  | VInt x, VInt y -> of_bool (ord (compare x y))
-  | VFloat x, VFloat y -> of_bool (ord (compare x y))
+  | VInt x, VInt y -> of_bool (holds rel (Int.compare x y))
+  | VFloat x, VFloat y -> of_bool (holds rel (Float.compare x y))
   | (VPtr _ | VNull), (VPtr _ | VNull) -> begin
       match rel with
       | Ir.Req -> of_bool (a = b)
@@ -274,7 +292,9 @@ let compare_values rel a b =
     end
   | _ -> trap "comparison of incompatible values %s and %s" (to_string a) (to_string b)
 
-let eval_binop op a b =
+(* The common int and float cases are matched directly; everything else,
+   traps included, goes through [eval_binop_slow]. *)
+let eval_binop_slow op a b =
   match op with
   | Ir.Add -> int2 "add" ( + ) a b
   | Ir.Sub -> int2 "sub" ( - ) a b
@@ -290,6 +310,17 @@ let eval_binop op a b =
   | Ir.Cmp rel -> compare_values rel a b
   | Ir.Andl -> int2 "and" (fun x y -> if x <> 0 && y <> 0 then 1 else 0) a b
   | Ir.Orl -> int2 "or" (fun x y -> if x <> 0 || y <> 0 then 1 else 0) a b
+
+let eval_binop op a b =
+  match (op, a, b) with
+  | Ir.Add, VInt x, VInt y -> VInt (x + y)
+  | Ir.Sub, VInt x, VInt y -> VInt (x - y)
+  | Ir.Mul, VInt x, VInt y -> VInt (x * y)
+  | Ir.Fadd, VFloat x, VFloat y -> VFloat (x +. y)
+  | Ir.Fsub, VFloat x, VFloat y -> VFloat (x -. y)
+  | Ir.Fmul, VFloat x, VFloat y -> VFloat (x *. y)
+  | Ir.Fdiv, VFloat x, VFloat y -> VFloat (x /. y)
+  | _ -> eval_binop_slow op a b
 
 let eval_unop op a =
   match (op, a) with
@@ -317,11 +348,28 @@ let float1 name f = function VFloat x -> VFloat (f x) | v -> trap "%s expects a 
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let emit_read ctx loc instr =
-  match ctx.sink with Some s -> s.Events.on_read loc instr | None -> ()
+(* [eval_builtin]'s "arity did not match" answer: never a builtin's
+   result, and unlike [None]/[Some] it costs no allocation per call. *)
+let no_builtin = VUndef
 
-let emit_write ctx loc instr =
-  match ctx.sink with Some s -> s.Events.on_write loc instr | None -> ()
+let never (_ : int) = false
+
+let rec bind_params frame name (vargs : Value.t array) k = function
+  | [] -> if k <> Array.length vargs then trap "arity mismatch calling %s" name
+  | p :: ps ->
+      if k >= Array.length vargs then trap "arity mismatch calling %s" name
+      else begin
+        write_var frame p vargs.(k);
+        bind_params frame name vargs (k + 1) ps
+      end
+
+(* The first matching interceptor, newest first (the order
+   [add_interceptor] builds). *)
+let rec find_interceptor fname bid = function
+  | [] -> None
+  | it :: rest ->
+      if it.it_header = bid && (not it.it_active) && String.equal it.it_fname fname then Some it
+      else find_interceptor fname bid rest
 
 (* Rare path of the periodic guard: refresh the threshold, give the
    [eval.step] fault point a deterministic hit, then check the wall-clock
@@ -338,129 +386,119 @@ let guard_check ctx =
   if ctx.heap_limit <> max_int && (Gc.quick_stat ()).Gc.heap_words > ctx.heap_limit then
     raise Heap_exhausted
 
+(* The sink-less step loop allocates only the values it produces (an
+   arithmetic result, a [VPtr] from [DGep]/[DAlloc], a call's frame and
+   argument array): no closures, and event locations are built inside the
+   [Some sink] branches (see the allocation contract in eval.mli). *)
 let rec exec_instr ctx frame (d : dinstr) =
   ctx.nsteps <- ctx.nsteps + 1;
   if ctx.nsteps > ctx.fuel then raise Out_of_fuel;
   if ctx.nsteps >= ctx.next_guard then guard_check ctx;
   let i = d.di in
+  let iid = i.Ir.iid in
   (match ctx.sink with Some s -> s.Events.on_exec i | None -> ());
-  (* operand evaluation with register-read events attributed to [i] *)
-  let ev op =
-    match op with
-    | Dvar v ->
-        emit_read ctx (Events.Lreg v.Ir.vid) i.Ir.iid;
-        read_var frame v
-    | Dconst v -> v
-  in
-  let def v x =
-    emit_write ctx (Events.Lreg v.Ir.vid) i.Ir.iid;
-    write_var frame v x
-  in
   match d.dd with
   | DBin (dst, op, a, b) ->
-      let va = ev a in
-      let vb = ev b in
-      def dst (eval_binop op va vb)
-  | DUn (dst, op, a) -> def dst (eval_unop op (ev a))
-  | DMov (dst, a) -> def dst (ev a)
+      let va = ev ctx frame iid a in
+      let vb = ev ctx frame iid b in
+      def ctx frame iid dst (eval_binop op va vb)
+  | DUn (dst, op, a) -> def ctx frame iid dst (eval_unop op (ev ctx frame iid a))
+  | DMov (dst, a) -> def ctx frame iid dst (ev ctx frame iid a)
   | DLoad (dst, p) -> begin
-      match ev p with
+      match ev ctx frame iid p with
       | VPtr (block, off) ->
-          emit_read ctx (Events.Lheap (block, off)) i.Ir.iid;
+          (match ctx.sink with Some s -> s.Events.on_read (Events.Lheap (block, off)) iid | None -> ());
           let v =
             try Store.load ctx.st ~block ~off with Failure msg -> trap "%s" msg
           in
-          def dst v
+          def ctx frame iid dst v
       | VNull -> trap "load through null pointer at %s" (Dca_frontend.Loc.to_string i.Ir.iloc)
       | v -> trap "load through non-pointer %s" (to_string v)
     end
   | DStore (p, src) -> begin
-      match ev p with
+      match ev ctx frame iid p with
       | VPtr (block, off) ->
-          let v = ev src in
-          emit_write ctx (Events.Lheap (block, off)) i.Ir.iid;
+          let v = ev ctx frame iid src in
+          (match ctx.sink with Some s -> s.Events.on_write (Events.Lheap (block, off)) iid | None -> ());
           (try Store.store ctx.st ~block ~off v with Failure msg -> trap "%s" msg)
       | VNull -> trap "store through null pointer at %s" (Dca_frontend.Loc.to_string i.Ir.iloc)
       | v -> trap "store through non-pointer %s" (to_string v)
     end
   | DGep (dst, base, idx, scale) -> begin
-      match (ev base, ev idx) with
-      | VPtr (block, off), VInt k -> def dst (VPtr (block, off + (k * scale)))
+      match (ev ctx frame iid base, ev ctx frame iid idx) with
+      | VPtr (block, off), VInt k -> def ctx frame iid dst (VPtr (block, off + (k * scale)))
       | VNull, _ -> trap "pointer arithmetic on null at %s" (Dca_frontend.Loc.to_string i.Ir.iloc)
       | vb, vi -> trap "gep on %s with index %s" (to_string vb) (to_string vi)
     end
   | DGload (dst, g) ->
-      emit_read ctx (Events.Lglob g.Ir.vslot) i.Ir.iid;
-      def dst (Store.read_global ctx.st g.Ir.vslot)
+      (match ctx.sink with Some s -> s.Events.on_read (Events.Lglob g.Ir.vslot) iid | None -> ());
+      def ctx frame iid dst (Store.read_global ctx.st g.Ir.vslot)
   | DGstore (g, src) ->
-      let v = ev src in
-      emit_write ctx (Events.Lglob g.Ir.vslot) i.Ir.iid;
+      let v = ev ctx frame iid src in
+      (match ctx.sink with Some s -> s.Events.on_write (Events.Lglob g.Ir.vslot) iid | None -> ());
       Store.write_global ctx.st g.Ir.vslot v
-  | DGaddr (dst, g) -> def dst (Store.read_global ctx.st g.Ir.vslot)
+  | DGaddr (dst, g) -> def ctx frame iid dst (Store.read_global ctx.st g.Ir.vslot)
   | DAlloc (dst, kinds, count) -> begin
-      match ev count with
+      match ev ctx frame iid count with
       | VInt n when n >= 0 ->
           let id = Store.alloc ctx.st kinds ~count:n in
-          def dst (VPtr (id, 0))
+          def ctx frame iid dst (VPtr (id, 0))
       | v -> trap "alloc with bad count %s" (to_string v)
     end
-  | DCall (dst, name, builtin, args) -> begin
+  | DCall (dst, name, builtin, args) ->
       let n = Array.length args in
       let vargs = Array.make n VNull in
       for k = 0 to n - 1 do
-        vargs.(k) <- ev args.(k)
+        vargs.(k) <- ev ctx frame iid args.(k)
       done;
-      let user_call () =
-        let ret = call_user ctx name vargs in
-        match (dst, ret) with
-        | Some d, Some v -> def d v
+      (* a builtin name with the wrong arity falls through to a user
+         function of the same name, exactly like the name-based dispatch
+         did *)
+      let result =
+        match builtin with Some b -> eval_builtin ctx iid b vargs | None -> no_builtin
+      in
+      if result != no_builtin then (match dst with Some d -> def ctx frame iid d result | None -> ())
+      else begin
+        match (dst, call_user ctx name vargs) with
+        | Some d, Some v -> def ctx frame iid d v
         | Some d, None -> trap "function %s returned no value for %s" name d.Ir.vname
         | None, _ -> ()
-      in
-      match builtin with
-      | Some b -> begin
-          (* a builtin name with the wrong arity falls through to a user
-             function of the same name, exactly like the name-based
-             dispatch did *)
-          match eval_builtin ctx i b vargs with
-          | Some result -> ( match dst with Some d -> def d result | None -> ())
-          | None -> user_call ()
-        end
-      | None -> user_call ()
-    end
-  | DPrint v -> Store.print_value ctx.st (ev v)
+      end
+  | DPrint v -> Store.print_value ctx.st (ev ctx frame iid v)
   | DPrints s -> Store.print_string_ ctx.st s
 
-and eval_builtin ctx instr b (args : Value.t array) : Value.t option =
-  let iid = instr.Ir.iid in
+and eval_builtin ctx iid b (args : Value.t array) : Value.t =
   match (b, args) with
-  | Bsqrt, [| v |] -> Some (float1 "sqrt" sqrt v)
-  | Bfabs, [| v |] -> Some (float1 "fabs" abs_float v)
-  | Bsin, [| v |] -> Some (float1 "sin" sin v)
-  | Bcos, [| v |] -> Some (float1 "cos" cos v)
-  | Bexp, [| v |] -> Some (float1 "exp" exp v)
-  | Blog, [| v |] -> Some (float1 "log" log v)
-  | Bfloor, [| v |] -> Some (float1 "floor" floor v)
-  | Bpow, [| a; b |] -> Some (float2 "pow" ( ** ) a b)
-  | Bfmod, [| a; b |] -> Some (float2 "fmod" Float.rem a b)
-  | Bfmin, [| a; b |] -> Some (float2 "fmin" Float.min a b)
-  | Bfmax, [| a; b |] -> Some (float2 "fmax" Float.max a b)
-  | Bimin, [| a; b |] -> Some (int2 "imin" min a b)
-  | Bimax, [| a; b |] -> Some (int2 "imax" max a b)
-  | Biabs, [| v |] -> Some (match v with VInt x -> VInt (abs x) | _ -> trap "iabs expects an int")
-  | Bitof, [| v |] -> Some (eval_unop Ir.Itof v)
-  | Bftoi, [| v |] -> Some (eval_unop Ir.Ftoi v)
-  | Bhrand, [| v |] -> Some (match v with VInt x -> VFloat (hrand_of_int x) | _ -> trap "hrand expects an int")
+  | Bsqrt, [| v |] -> float1 "sqrt" sqrt v
+  | Bfabs, [| v |] -> float1 "fabs" abs_float v
+  | Bsin, [| v |] -> float1 "sin" sin v
+  | Bcos, [| v |] -> float1 "cos" cos v
+  | Bexp, [| v |] -> float1 "exp" exp v
+  | Blog, [| v |] -> float1 "log" log v
+  | Bfloor, [| v |] -> float1 "floor" floor v
+  | Bpow, [| a; b |] -> float2 "pow" ( ** ) a b
+  | Bfmod, [| a; b |] -> float2 "fmod" Float.rem a b
+  | Bfmin, [| a; b |] -> float2 "fmin" Float.min a b
+  | Bfmax, [| a; b |] -> float2 "fmax" Float.max a b
+  | Bimin, [| a; b |] -> int2 "imin" min a b
+  | Bimax, [| a; b |] -> int2 "imax" max a b
+  | Biabs, [| v |] -> ( match v with VInt x -> VInt (abs x) | _ -> trap "iabs expects an int")
+  | Bitof, [| v |] -> eval_unop Ir.Itof v
+  | Bftoi, [| v |] -> eval_unop Ir.Ftoi v
+  | Bhrand, [| v |] -> ( match v with VInt x -> VFloat (hrand_of_int x) | _ -> trap "hrand expects an int")
   | Bdrand, [||] ->
-      emit_read ctx Events.Lrng iid;
-      emit_write ctx Events.Lrng iid;
-      Some (VFloat (Store.drand ctx.st))
+      (match ctx.sink with
+      | Some s ->
+          s.Events.on_read Events.Lrng iid;
+          s.Events.on_write Events.Lrng iid
+      | None -> ());
+      VFloat (Store.drand ctx.st)
   | Bdseed, [| v |] ->
-      emit_write ctx Events.Lrng iid;
+      (match ctx.sink with Some s -> s.Events.on_write Events.Lrng iid | None -> ());
       (match v with VInt x -> Store.dseed ctx.st x | _ -> trap "dseed expects an int");
-      Some (VInt 0)
-  | Breads, [||] -> Some (VInt (Store.read_input ctx.st))
-  | _ -> None
+      vfalse
+  | Breads, [||] -> VInt (Store.read_input ctx.st)
+  | _ -> no_builtin
 
 and call_user ctx name (vargs : Value.t array) : Value.t option =
   let f =
@@ -470,20 +508,10 @@ and call_user ctx name (vargs : Value.t array) : Value.t option =
   in
   let fn = f.df_func in
   let frame = { ffunc = fn; fcode = f.df_blocks; regs = Array.make fn.Ir.fnslots VUndef } in
-  let nargs = Array.length vargs in
-  let rec bind k = function
-    | [] -> if k <> nargs then trap "arity mismatch calling %s" name
-    | p :: ps ->
-        if k >= nargs then trap "arity mismatch calling %s" name
-        else begin
-          write_var frame p vargs.(k);
-          bind (k + 1) ps
-        end
-  in
-  bind 0 fn.Ir.fparams;
+  bind_params frame name vargs 0 fn.Ir.fparams;
   (match ctx.sink with Some s -> s.Events.on_call name | None -> ());
   let result =
-    match exec_from ctx frame fn.Ir.fentry ~stop:(fun _ -> false) ~control:None ~src:(-1) with
+    match exec_from ctx frame fn.Ir.fentry ~stop:never ~control:None ~src:(-1) with
     | Returned v -> v
     | Stopped_at _ -> assert false
   in
@@ -495,12 +523,7 @@ and call_user ctx name (vargs : Value.t array) : Value.t option =
 and exec_from ctx frame bid ~stop ~control ~src : stop_reason =
   (* interceptors fire on transfers into their header during any execution
      in which they are not already active *)
-  match
-    List.find_opt
-      (fun it ->
-        it.it_fname = frame.ffunc.Ir.fname && it.it_header = bid && not it.it_active)
-      ctx.interceptors
-  with
+  match find_interceptor frame.ffunc.Ir.fname bid ctx.interceptors with
   | Some it ->
       it.it_active <- true;
       let continue_at =
@@ -509,7 +532,7 @@ and exec_from ctx frame bid ~stop ~control ~src : stop_reason =
           (fun () -> match it.it_handler with Handler h -> h ctx frame)
       in
       exec_from ctx frame continue_at ~stop ~control ~src:bid
-  | None ->
+  | None -> (
       (match ctx.sink with Some s -> s.Events.on_block ~fname:frame.ffunc.Ir.fname ~src ~dst:bid | None -> ());
       let blk = frame.fcode.(bid) in
       let instrs = blk.db_instrs in
@@ -523,28 +546,30 @@ and exec_from ctx frame bid ~stop ~control ~src : stop_reason =
             let d = instrs.(k) in
             if c.sc_filter d.di then exec_instr ctx frame d
           done);
-      let continue_to target =
-        if stop target then begin
-          (* surface the pending transfer so recorders see loop-exit and
-             latch edges even though the target block is not executed *)
-          (match ctx.sink with
-          | Some s -> s.Events.on_block ~fname:frame.ffunc.Ir.fname ~src:bid ~dst:target
-          | None -> ());
-          Stopped_at target
-        end
-        else exec_from ctx frame target ~stop ~control ~src:bid
-      in
-      (match blk.db_term with
-      | TBr t -> continue_to t
+      match blk.db_term with
+      | TBr t -> continue_to ctx frame bid t ~stop ~control
       | TCbr (c, a, b) -> begin
           let forced = match control with Some ctl -> ctl.sc_override bid | None -> None in
           match forced with
-          | Some t -> continue_to t
+          | Some t -> continue_to ctx frame bid t ~stop ~control
           | None ->
               let v = eval_dop ctx frame c in
-              continue_to (if truthy v then a else b)
+              continue_to ctx frame bid (if truthy v then a else b) ~stop ~control
         end
-      | TRet op -> Returned (Option.map (eval_dop ctx frame) op))
+      | TRet None -> Returned None
+      | TRet (Some op) -> Returned (Some (eval_dop ctx frame op)))
+
+(* The transfer out of block [bid] to [target]. *)
+and continue_to ctx frame bid target ~stop ~control =
+  if stop target then begin
+    (* surface the pending transfer so recorders see loop-exit and latch
+       edges even though the target block is not executed *)
+    (match ctx.sink with
+    | Some s -> s.Events.on_block ~fname:frame.ffunc.Ir.fname ~src:bid ~dst:target
+    | None -> ());
+    Stopped_at target
+  end
+  else exec_from ctx frame target ~stop ~control ~src:bid
 
 let exec_upto ctx frame ~start ~stop ~control = exec_from ctx frame start ~stop ~control ~src:(-1)
 

@@ -16,7 +16,17 @@
       a program "with loop L permuted".
 
     Executed instructions are counted in {!steps}; a configurable fuel
-    bound aborts runaway executions ({!Out_of_fuel}). *)
+    bound aborts runaway executions ({!Out_of_fuel}).
+
+    Allocation contract: with no sink installed, the step loop allocates
+    only the values the program produces — an arithmetic result, a
+    pointer from address arithmetic or allocation, a callee's frame and
+    argument array.  It builds no closures per instruction or per block
+    transfer, event locations exist only when a sink listens, and
+    comparisons return shared constants.  The dynamic stage runs here at
+    jobs > 1, where every minor collection stops all pool domains, so
+    this is a throughput contract; a test pins it at a few minor words
+    per executed instruction. *)
 
 exception Trap of string
 exception Out_of_fuel

@@ -53,8 +53,8 @@ let capture st ~scalars ~roots =
     | Value.VNull -> CNull
     | Value.VUndef -> CUndef
     | Value.VPtr (b, o) ->
-        if Store.block_size st b = None then (* dangling after a restore *) CUndef
-        else CPtr (canon_of_block b, o)
+        if Store.is_live st b then CPtr (canon_of_block b, o)
+        else (* dangling after a restore *) CUndef
   in
   let obs_scalars = Array.of_list (List.map cell_of_value (scalars @ roots)) in
   let blocks_rev = ref [] in
@@ -62,9 +62,18 @@ let capture st ~scalars ~roots =
   let rec drain () =
     if not (Queue.is_empty queue) then begin
       let b = Queue.take queue in
+      (* Not [Array.map]: a block of more than 256 cells goes straight to
+         the major heap, and seeding it with a young first cell makes the
+         runtime force a minor collection to avoid a major-to-minor
+         pointer.  A constant seed and a fill loop do not. *)
       let cells =
         match Store.block_cells st b with
-        | Some live -> Array.map cell_of_value live
+        | Some live ->
+            let cells = Array.make (Array.length live) CNull in
+            for i = 0 to Array.length live - 1 do
+              cells.(i) <- cell_of_value live.(i)
+            done;
+            cells
         | None -> [||]
       in
       blocks_rev := cells :: !blocks_rev;
@@ -148,9 +157,8 @@ let matches ?(eps = 1e-9) golden st ~scalars ~roots =
     | CFloat x, Value.VFloat y -> float_close eps x y
     | CNull, Value.VNull -> true
     | CUndef, Value.VUndef -> true
-    | CUndef, Value.VPtr (b, _) -> Store.block_size st b = None  (* dangling *)
-    | CPtr (cb, co), Value.VPtr (b, o) ->
-        co = o && Store.block_size st b <> None && canon_of_block b = cb
+    | CUndef, Value.VPtr (b, _) -> not (Store.is_live st b)  (* dangling *)
+    | CPtr (cb, co), Value.VPtr (b, o) -> co = o && Store.is_live st b && canon_of_block b = cb
     | _ -> false
   in
   let rec scalars_match i = function

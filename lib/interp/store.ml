@@ -239,11 +239,11 @@ let store t ~block ~off v =
   in
   cells.(off) <- v
 
-let block_size t id =
-  if id < 0 || id >= t.next_block then None else Some (Array.length t.blocks.(id))
+let is_live t id = id >= 0 && id < t.next_block
 
-let block_cells t id =
-  if id < 0 || id >= t.next_block then None else Some t.blocks.(id)
+let block_size t id = if is_live t id then Some (Array.length t.blocks.(id)) else None
+
+let block_cells t id = if is_live t id then Some t.blocks.(id) else None
 
 let read_global t slot = t.globals.(slot)
 
@@ -390,13 +390,15 @@ let copy t =
          pre-fork array as potentially shared, so whichever store writes a
          shared block first privatizes its own copy.  Concurrent forks of
          a quiescent parent are safe: each writes the same bumped epoch
-         and watermark values and shares the same frozen arrays. *)
+         and watermark values and shares the same frozen arrays.  Both
+         tables are sized to the live blocks, not the parent's capacity:
+         [ensure_capacity] grows them on the replica's first allocation. *)
       t.epoch <- t.epoch + 1;
       t.shared_below <- t.epoch;
       {
         t with
-        blocks = Array.copy t.blocks;
-        owned = Array.make (Array.length t.blocks) (-1);
+        blocks = Array.sub t.blocks 0 t.next_block;
+        owned = Array.make t.next_block (-1);
         globals = Array.copy t.globals;
         gowned = Array.make (Array.length t.gowned) (-1);
         journal = [||];

@@ -67,6 +67,12 @@ val load : t -> block:int -> off:int -> Value.t
 
 val store : t -> block:int -> off:int -> Value.t -> unit
 
+val is_live : t -> int -> bool
+(** Whether a block id names an allocated, non-dangling block.  Unlike
+    [block_size st b <> None] it allocates nothing, so per-pointer-cell
+    checks ({!Observable.capture}, {!Observable.matches}) stay off the
+    minor heap. *)
+
 val block_size : t -> int -> int option
 
 val block_cells : t -> int -> Value.t array option

@@ -342,6 +342,55 @@ let prop_matches_agrees_with_equal =
       Observable.matches golden sb ~scalars:sc_b ~roots:rt_b
       = Observable.equal golden (Observable.capture sb ~scalars:sc_b ~roots:rt_b))
 
+(* A block of more than 256 cells lives in the major heap; building its
+   digest must not force a minor collection (the runtime does so when a
+   major-heap array is created with a young initial cell). *)
+let test_capture_forces_no_minor_gc () =
+  let st = Store.create (compile "void main() { }") ~input:[] in
+  let roots =
+    List.init 8 (fun b ->
+        let id = Store.alloc st [| Layout.KFloat |] ~count:1024 in
+        for off = 0 to 1023 do
+          Store.store st ~block:id ~off (Value.VFloat (float_of_int ((b * 1024) + off) *. 0.5))
+        done;
+        Value.VPtr (id, 0))
+  in
+  (* a major cycle that ends mid-capture empties the minor heap too: start
+     from a fresh cycle and an empty nursery *)
+  Gc.full_major ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let digest = Observable.capture st ~scalars:[] ~roots in
+  let forced = (Gc.quick_stat ()).Gc.minor_collections - before in
+  Alcotest.(check int) "cells captured" (8 + (8 * 1024)) (Observable.size digest);
+  Alcotest.(check int) "minor collections during capture" 0 forced
+
+(* The sink-less step loop allocates only the values it produces: a few
+   minor words per executed instruction, not closures and event
+   locations. *)
+let test_step_loop_allocation () =
+  let ctx =
+    Eval.create
+      (compile
+         {|
+         void main() {
+           int i; int s = 0; float f = 0.0;
+           for (i = 0; i < 20000; i = i + 1) {
+             s = s + i * 3;
+             if (s > 1000000) { s = s - 1000000; }
+             f = f * 0.5 + itof(i);
+           }
+           printi(s); print(f);
+         }
+         |})
+  in
+  let before = Gc.minor_words () in
+  Eval.run_main ctx;
+  let words = Gc.minor_words () -. before in
+  let per_step = words /. float_of_int (Eval.steps ctx) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per step (%d steps)" per_step (Eval.steps ctx))
+    true (per_step <= 4.0)
+
 let test_outputs_equal_tolerant () =
   Alcotest.(check bool) "tolerant" true
     (Observable.outputs_equal [ "1.00000000000001"; "x" ] [ "1.0"; "x" ]);
@@ -367,6 +416,7 @@ let suites =
         Alcotest.test_case "trap oob" `Quick test_trap_out_of_bounds;
         Alcotest.test_case "fuel" `Quick test_fuel;
         Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
+        Alcotest.test_case "step loop allocation" `Quick test_step_loop_allocation;
       ] );
     ( "observable",
       [
@@ -376,6 +426,7 @@ let suites =
         Alcotest.test_case "in-place matches" `Quick test_observable_matches;
         QCheck_alcotest.to_alcotest prop_matches_agrees_with_equal;
         Alcotest.test_case "outputs tolerant" `Quick test_outputs_equal_tolerant;
+        Alcotest.test_case "capture forces no minor GC" `Quick test_capture_forces_no_minor_gc;
       ] );
   ]
 
