@@ -84,7 +84,6 @@ let c_replay_steps = Telemetry.counter "dca.replay_steps"
 let c_skipped = Telemetry.counter "dca.schedules_skipped"
 let c_promotions = Telemetry.counter "dca.promotions"
 let c_escalated = Telemetry.counter "dca.loops_escalated"
-let c_wp_golden_runs = Telemetry.counter "dca.wp_golden_runs"
 let c_wp_schedule_runs = Telemetry.counter "dca.wp_schedule_runs"
 let d_instructions = Telemetry.counter ~kind:Telemetry.Diag "interp.instructions"
 
@@ -457,8 +456,9 @@ let sift_schedules schedules n_iters = Schedule.sift schedules n_iters
    and measure the instructions it executed.  Both the sequential path
    (main context) and parallel workers (forked replicas) go through here,
    so the two paths meter identical work per schedule.  [Eval.Out_of_fuel]
-   escapes — workers catch it, the main context lets it abort the
-   analysis — and the trace span is closed on every exit path. *)
+   escapes and aborts the analysis, [Eval.Cancelled] escapes from a
+   speculative replay past a trap, and the trace span is closed on every
+   exit path. *)
 let replay_counted ~eps ctx frame fi sep g sched =
   let traced = Telemetry.tracing () in
   let name = if traced then "replay " ^ Schedule.to_string sched else "" in
@@ -491,77 +491,61 @@ let replay_counted ~eps ctx frame fi sep g sched =
         | exception Eval.Trap msg ->
             label := "trap";
             `Trap msg
+        | exception Eval.Cancelled ->
+            label := "cancelled";
+            raise Eval.Cancelled
       in
       (d, Eval.steps ctx - s0))
 
-(* Run the post-identity permutation schedules.  With a pool of width > 1
-   every representative replays on a {!Eval.fork}ed replica of the entry
-   state in parallel; the outcomes are then folded in schedule order,
-   reproducing the sequential control flow exactly: escalation marks
-   accumulate in schedule order and a trap verdict cuts off the marks of
-   every later schedule, so [jobs = n] and [jobs = 1] reach bit-identical
-   verdicts.  A skipped duplicate inherits its representative's loop-local
-   decision (a whole-program verification applies the schedule at *every*
-   invocation of the loop, where two presets equal at this trip count need
-   not coincide), so escalation marks are rebuilt over the full preset
-   list — verdicts are identical to replaying everything. *)
+(* Run the post-identity permutation schedules, stopping at the first
+   trap (or [Out_of_fuel], which aborts the analysis).  With a pool of
+   width > 1 every representative replays on a {!Eval.fork}ed replica of
+   the entry state, speculatively: {!Pool.map_prefix} cancels the
+   replays past the first decisive one and returns exactly the prefix the
+   sequential loop computes, so [jobs = n] and [jobs = 1] reach
+   bit-identical verdicts.  A skipped duplicate inherits its
+   representative's loop-local decision (a whole-program verification
+   applies the schedule at *every* invocation of the loop, where two
+   presets equal at this trip count need not coincide), so escalation
+   marks are rebuilt over the full preset list — verdicts are identical
+   to replaying everything. *)
 let run_schedules pool config fi state ctx frame g restore0 =
   let n_iters = List.length g.g_payload_segments in
   let identity = Array.init n_iters (fun i -> i) in
   let schedules, skipped = sift_schedules config.cc_schedules n_iters in
   state.ts_skipped <- state.ts_skipped + skipped;
+  let decisive = function `Trap _, _ -> true | (`Ok | `Escalate), _ -> false in
   (* per-representative loop-local decision, in representative order *)
-  let decide_sequential () =
-    let rec run acc = function
-      | [] -> List.rev acc
-      | (sched, _) :: rest -> begin
-          restore0 ();
-          match replay_counted ~eps:config.cc_eps ctx frame fi state.ts_sep g sched with
-          | ((`Trap _, _) as d) -> List.rev (d :: acc)
-          | d -> run (d :: acc) rest
-        end
-    in
-    run [] schedules
-  in
-  let decide_parallel p =
-    restore0 ();
-    let base_steps = Eval.steps ctx in
-    (* every replica forks from the restored entry state; the parent only
-       participates in the pool while the map is in flight, so the shared
-       store is read-only for its duration *)
-    let outcomes =
-      Pool.map p
-        (fun (sched, _) ->
-          let ctx' = Eval.fork ctx in
-          let frame' = Eval.copy_frame frame in
-          (* the digest comparison runs in the worker, against the
-             worker-local replica state; only the decision crosses back *)
-          let r =
-            match replay_counted ~eps:config.cc_eps ctx' frame' fi state.ts_sep g sched with
-            | d -> `Done d
-            | exception Eval.Out_of_fuel -> `Fuel
-          in
-          (* replica-side diagnostics: the fork's checkpoint traffic and
-             the instructions it executed, speculative work included *)
-          Store.flush_telemetry (Eval.store ctx');
-          Telemetry.add d_instructions (Eval.steps ctx' - base_steps);
-          r)
-        schedules
-    in
-    (* fold speculative outcomes in schedule order: decisions after a trap
-       are discarded, exactly as the sequential loop never reaches them *)
-    let rec fold acc = function
-      | [] -> List.rev acc
-      | `Done ((`Trap _, _) as d) :: _ -> List.rev (d :: acc)
-      | `Done d :: rest -> fold (d :: acc) rest
-      | `Fuel :: _ -> raise Eval.Out_of_fuel
-    in
-    fold [] outcomes
-  in
   let decisions =
     match pool with
-    | Some p when Pool.jobs p > 1 && List.length schedules > 1 -> decide_parallel p
-    | _ -> decide_sequential ()
+    | Some p when Pool.jobs p > 1 && List.length schedules > 1 ->
+        restore0 ();
+        let base_steps = Eval.steps ctx in
+        (* every replica forks from the restored entry state; the parent
+           only participates in the pool while the map is in flight, so
+           the shared store is read-only for its duration *)
+        Pool.map_prefix p ~decisive
+          (fun (sched, _) ->
+            let ctx' = Eval.fork ctx in
+            let frame' = Eval.copy_frame frame in
+            (* replica-side diagnostics: the fork's checkpoint traffic and
+               the instructions it executed, speculative work included *)
+            Fun.protect
+              ~finally:(fun () ->
+                Store.flush_telemetry (Eval.store ctx');
+                Telemetry.add d_instructions (Eval.steps ctx' - base_steps))
+              (fun () ->
+                (* the digest comparison runs in the worker, against the
+                   worker-local replica state; only the decision crosses
+                   back *)
+                replay_counted ~eps:config.cc_eps ctx' frame' fi state.ts_sep g sched))
+          schedules
+    | _ ->
+        Pool.map_prefix Pool.sequential ~decisive
+          (fun (sched, _) ->
+            restore0 ();
+            replay_counted ~eps:config.cc_eps ctx frame fi state.ts_sep g sched)
+          schedules
   in
   (* meter only the consumed decisions, and only once the list completed
      normally: schedules past a trap are never counted (the sequential
@@ -699,94 +683,48 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
       Eval.run_main ctx;
       Eval.outputs ctx)
 
-(* Whole-program verification is one plain golden run plus one permuted
-   run per schedule — every run builds its own evaluator from scratch, so
-   with a pool they all execute concurrently.  The merge walks schedules
-   in their (deduplicated) order and applies the sequential decision rule,
-   so the verdict is identical to the sequential short-circuiting loop —
-   the parallel path merely runs schedules speculatively. *)
-let escalate ?pool config info spec fi sep scheds =
+(* Whole-program verification runs the program once per schedule, each
+   run on its own evaluator, and compares its output with [golden_out],
+   the plain program's output.  A run that differs, traps or fails
+   decides the verdict, so the runs are an ordered speculation: with a
+   pool they execute concurrently and {!Pool.map_prefix} cancels those
+   past the first decisive one, returning the prefix the sequential
+   short-circuiting loop consumes — the verdict is the same at every
+   width. *)
+let escalate pool config info spec fi sep ~golden_out scheds =
   let scheds = Listx.dedup_keep_order ( = ) scheds in
-  (* the golden reference runs exactly once per escalated loop, in both
-     the sequential and the pool-mapped paths *)
-  Telemetry.incr c_wp_golden_runs;
-  let golden_run () =
-    Telemetry.span ~cat:"dynamic" "wp-golden" (fun () ->
-        let plain_ctx = context_of_spec spec (Proginfo.program info) in
-        Fun.protect
-          ~finally:(fun () ->
-            Store.flush_telemetry (Eval.store plain_ctx);
-            Telemetry.add d_instructions (Eval.steps plain_ctx))
-          (fun () ->
-            Eval.run_main plain_ctx;
-            Eval.outputs plain_ctx))
-  in
-  let sched_run sched =
+  let wp_run sched =
     let name = if Telemetry.tracing () then "wp-run " ^ Schedule.to_string sched else "" in
     Telemetry.span ~cat:"dynamic" name (fun () ->
         match whole_program_run info spec fi sep sched with
-        | out -> `Out out
+        | out ->
+            if Observable.outputs_equal ~eps:config.cc_eps golden_out out then `Commutes
+            else
+              `Verdict
+                (Non_commutative
+                   (Printf.sprintf "program output differs under %s" (Schedule.to_string sched)))
         | exception Replay_mismatch msg -> `Verdict (Untestable ("whole-program replay: " ^ msg))
         | exception Eval.Trap msg ->
             `Verdict
               (Non_commutative
                  (Printf.sprintf "whole-program trap under %s: %s" (Schedule.to_string sched) msg))
-        | exception Eval.Out_of_fuel -> `Verdict (Untestable "whole-program replay ran out of fuel")
-        | exception e -> `Raised (e, Printexc.get_raw_backtrace ()))
+        | exception Eval.Out_of_fuel -> `Verdict (Untestable "whole-program replay ran out of fuel"))
   in
-  (* Decide in schedule order.  The (sched, result) pairs arrive as a
-     sequence: lazy in the sequential path (so a decisive early schedule
-     short-circuits the later runs, as always), precomputed in the parallel
-     path (the runs were speculative, but the decision rule consumes them
-     in the same order, so the verdict is the same). *)
-  let merge golden_out pairs =
-    let rec go pairs =
-      match Seq.uncons pairs with
-      | None -> Commutative
-      | Some (pair, rest) -> (
-          (* metered at consumption: the sequential path executed exactly
-             the runs the merge consumes, so the total is jobs-invariant *)
-          Telemetry.incr c_wp_schedule_runs;
-          match pair with
-          | _, `Raised (e, bt) -> Printexc.raise_with_backtrace e bt
-          | _, `Verdict v -> v
-          | sched, `Out out ->
-              if Observable.outputs_equal ~eps:config.cc_eps golden_out out then go rest
-              else
-                Non_commutative
-                  (Printf.sprintf "program output differs under %s" (Schedule.to_string sched)))
-    in
-    go pairs
+  let consumed =
+    Pool.map_prefix (Option.value pool ~default:Pool.sequential)
+      ~decisive:(function `Verdict _ -> true | `Commutes -> false)
+      wp_run scheds
   in
-  match pool with
-  | Some p when Pool.jobs p > 1 && scheds <> [] ->
-      let results =
-        Pool.map p
-          (function
-            | `Golden -> (
-                match golden_run () with
-                | out -> `Out out
-                | exception e -> `Raised (e, Printexc.get_raw_backtrace ()))
-            | `Sched sched -> sched_run sched)
-          (`Golden :: List.map (fun s -> `Sched s) scheds)
-      in
-      let golden_out, sched_results =
-        match results with
-        (* the sequential path runs golden first: its failure wins *)
-        | `Raised (e, bt) :: _ -> Printexc.raise_with_backtrace e bt
-        | `Out golden_out :: rest -> (golden_out, rest)
-        | `Verdict _ :: _ | [] -> assert false
-      in
-      merge golden_out (List.to_seq (List.combine scheds sched_results))
-  | _ ->
-      let golden_out = golden_run () in
-      merge golden_out (Seq.map (fun sched -> (sched, sched_run sched)) (List.to_seq scheds))
+  (* metered at consumption: the sequential path executes exactly the
+     consumed runs, so the total is jobs-invariant *)
+  Telemetry.add c_wp_schedule_runs (List.length consumed);
+  match List.rev consumed with `Verdict v :: _ -> v | `Commutes :: _ | [] -> Commutative
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_loop ?pool config (info : Proginfo.t) spec fi sep =
+let test_loop ?pool ?(fresh_golden = false) config (info : Proginfo.t) spec fi sep =
   let loop = sep.sep_loop in
   let state =
     {
@@ -838,7 +776,20 @@ let test_loop ?pool config (info : Proginfo.t) spec fi sep =
   let verdict =
     match base_verdict with
     | Commutative when escalated ->
-        if config.cc_escalate then escalate ?pool config info spec fi state.ts_sep state.ts_needs_escalation
+        if config.cc_escalate then
+          (* the test run returned normally, and every tested invocation
+             restored the store (output, rng, input position, allocation
+             watermark) before the loop ran in original order: its output
+             is the plain program's *)
+          let golden_out =
+            if fresh_golden then begin
+              let plain = context_of_spec spec prog in
+              Eval.run_main plain;
+              Eval.outputs plain
+            end
+            else Eval.outputs ctx
+          in
+          escalate pool config info spec fi state.ts_sep ~golden_out state.ts_needs_escalation
         else Non_commutative "live-out digest differs (escalation disabled)"
     | v -> v
   in

@@ -64,7 +64,7 @@ type outcome = {
   oc_golden_runs : int;
       (** loop-local golden recordings (one per separability-widening
           attempt of every tested invocation; whole-program verification
-          runs are counted separately by the [dca.wp_*] counters) *)
+          runs are counted separately by [dca.wp_schedule_runs]) *)
   oc_replays : int;
       (** permuted replays whose decision was consumed, identity
           self-checks included.  Replays a parallel engine ran
@@ -99,6 +99,7 @@ val default_run_spec : run_spec
 
 val test_loop :
   ?pool:Dca_support.Pool.t ->
+  ?fresh_golden:bool ->
   config ->
   Dca_analysis.Proginfo.t ->
   run_spec ->
@@ -112,11 +113,20 @@ val test_loop :
     domains: every permuted replay of an invocation runs on an
     {!Dca_interp.Eval.fork}ed replica of the entry state, and every
     whole-program verification run (which builds its own evaluator anyway)
-    becomes one pool task.  Outcomes are merged in schedule order under
-    the sequential decision rule, so the verdict, the escalation trail and
-    [oc_per_invocation] are bit-identical to the [jobs = 1] path — the
-    parallel engine only ever runs {e speculatively}, never decides
-    differently. *)
+    becomes one pool task.  Both fan-outs are ordered speculations
+    ({!Dca_support.Pool.map_prefix}): the runs past the first decisive
+    schedule are cancelled, and the consumed prefix is exactly the one
+    the sequential loop computes, so the verdict, the escalation trail
+    and [oc_per_invocation] are bit-identical to the [jobs = 1] path —
+    the parallel engine only ever runs {e speculatively}, never decides
+    differently.
+
+    Whole-program verification compares each permuted run's output with
+    the output of the test run itself, which is the plain program's:
+    every tested invocation restores the store before the loop runs in
+    original order.  [~fresh_golden:true] takes that reference from a
+    separate plain run instead; it exists as the differential reference
+    that pins this premise in the tests. *)
 
 val test_loop_inputs :
   ?pool:Dca_support.Pool.t ->

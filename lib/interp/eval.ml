@@ -5,6 +5,7 @@ exception Trap of string
 exception Out_of_fuel
 exception Deadline_exceeded
 exception Heap_exhausted
+exception Cancelled
 
 (* ------------------------------------------------------------------ *)
 (* Pre-decoded code                                                    *)
@@ -373,7 +374,8 @@ let rec find_interceptor fname bid = function
 
 (* Rare path of the periodic guard: refresh the threshold, give the
    [eval.step] fault point a deterministic hit, then check the wall-clock
-   deadline and the heap budget if set. *)
+   deadline and the heap budget if set, and whether the pool task running
+   this evaluation has been cancelled. *)
 let guard_check ctx =
   ctx.next_guard <- ctx.nsteps + guard_interval;
   (match Dca_support.Faultpoint.hit fp_step with
@@ -384,7 +386,8 @@ let guard_check ctx =
   if ctx.deadline <> max_int && Dca_support.Telemetry.now_ns () > ctx.deadline then
     raise Deadline_exceeded;
   if ctx.heap_limit <> max_int && (Gc.quick_stat ()).Gc.heap_words > ctx.heap_limit then
-    raise Heap_exhausted
+    raise Heap_exhausted;
+  if Dca_support.Pool.cancelled () then raise Cancelled
 
 (* The sink-less step loop allocates only the values it produces (an
    arithmetic result, a [VPtr] from [DGep]/[DAlloc], a call's frame and

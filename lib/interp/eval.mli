@@ -43,6 +43,13 @@ exception Heap_exhausted
     to the run plus whatever other domains allocate meanwhile; it is a
     containment guard, not an accounting tool. *)
 
+exception Cancelled
+(** The {!Dca_support.Pool} task running this evaluation was cancelled:
+    a speculative sibling at a lower index was decisive, so this run's
+    result will never be consumed ({!Dca_support.Pool.map_prefix}).
+    Checked with the other guards, so it lands within one guard
+    interval.  Never raised outside a pool task. *)
+
 type ctx
 
 type dblock
@@ -57,9 +64,9 @@ type frame = { ffunc : Dca_ir.Ir.func; fcode : dblock array; regs : Value.t arra
 
 val guard_interval : int
 (** Step period of the resource-guard check: the deadline and heap
-    budgets are only consulted every [guard_interval] executed
-    instructions (one integer compare on the fast path), so a guard can
-    overshoot by at most one interval. *)
+    budgets and the pool task's cancellation are only consulted every
+    [guard_interval] executed instructions (one integer compare on the
+    fast path), so a guard can overshoot by at most one interval. *)
 
 val create :
   ?fuel:int -> ?deadline_ns:int -> ?heap_words:int -> ?input:int list -> Dca_ir.Ir.program -> ctx

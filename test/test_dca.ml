@@ -751,3 +751,146 @@ let future_suites =
   ]
 
 let suites = suites @ future_suites
+
+(* ---------------------------------------------------------------- *)
+(* Whole-program verification reuses the test run's output           *)
+(* ---------------------------------------------------------------- *)
+
+(* Whole-program verification compares every permuted run with the
+   output of the loop's own test run.  The premise: the test run is the
+   plain program, because each tested invocation restores the store —
+   output, rng, input position, allocation watermark — before the loop
+   runs in original order.  Each escalated loop below allocates, draws
+   from [drand] or reseeds with [dseed], and reads input, and the program
+   keeps printing afterwards (including from the rng and the input
+   stream), so a state the restore missed would show in the output.
+   The verdict and its message must equal those of the differential
+   reference that runs the plain program separately. *)
+let golden_reuse_programs =
+  let prelude =
+    {|
+    struct node { float v; int k; struct node *next; }
+    struct node *head;
+    void build(int m) {
+      int i;
+      for (i = 0; i < m; i = i + 1) {
+        struct node *n = new struct node;
+        n->v = drand() + i;
+        n->k = reads() + 100 * i;
+        n->next = head;
+        head = n;
+      }
+    }
+    void sums() {
+      float s = 0.0;
+      int t = 0;
+      struct node *p = head;
+      while (p) { s = s + p->v; t = t + p->k; p = p->next; }
+      print(s);
+      printi(t);
+    }
+    |}
+  in
+  [
+    ( "order-insensitive sum",
+      "commutative",
+      "build",
+      prelude ^ "void main() { dseed(7); build(8); sums(); print(drand()); printi(reads()); }" );
+    ( "first node printed",
+      "non-commutative",
+      "build",
+      prelude ^ "void main() { dseed(7); build(8); printi(head->k); sums(); }" );
+    ( "reseeded per iteration",
+      "non-commutative",
+      "main",
+      prelude
+      ^ {|
+      void main() {
+        int i;
+        for (i = 0; i < 8; i = i + 1) {
+          dseed(i + 3);
+          struct node *n = new struct node;
+          n->v = drand() + i;
+          n->k = reads() + 100 * i;
+          n->next = head;
+          head = n;
+        }
+        sums();
+        print(drand());
+        printi(reads());
+      }
+      |} );
+    ( "two invocations, output between",
+      "commutative",
+      "build",
+      prelude
+      ^ "void main() { dseed(11); build(5); sums(); build(6); sums(); print(drand()); printi(reads()); }" );
+  ]
+
+let test_wp_golden_reuse () =
+  let input = List.init 40 (fun i -> (i * 37) mod 101) in
+  let spec = Commutativity.make_run_spec ~fuel:50_000_000 input in
+  List.iter
+    (fun (name, expected, fname, src) ->
+      let prog = Dca_ir.Lower.compile ~file:"<test>" src in
+      let info = Proginfo.analyze prog in
+      let fi = Proginfo.func_info info fname in
+      let loop = List.hd (Loops.loops fi.Proginfo.fi_forest) in
+      let sep = Iterator_rec.separate fi loop in
+      let verdict ?pool fresh_golden =
+        Commutativity.test_loop ?pool ~fresh_golden Commutativity.default_config info spec fi sep
+      in
+      let reference = verdict true in
+      let kind =
+        match reference.Commutativity.oc_verdict with
+        | Commutativity.Commutative -> "commutative"
+        | Commutativity.Non_commutative _ -> "non-commutative"
+        | Commutativity.Untestable _ -> "untestable"
+      in
+      Alcotest.(check string) (name ^ ": expected verdict") expected kind;
+      Alcotest.(check bool) (name ^ ": the loop escalated") true reference.Commutativity.oc_escalated;
+      List.iter
+        (fun jobs ->
+          Dca_support.Pool.with_pool ~jobs (fun pool ->
+              let reused = verdict ~pool false in
+              Alcotest.(check string)
+                (Printf.sprintf "%s: jobs=%d verdict equals the fresh-golden reference" name jobs)
+                (Commutativity.verdict_to_string reference.Commutativity.oc_verdict)
+                (Commutativity.verdict_to_string reused.Commutativity.oc_verdict)))
+        [ 1; 2 ])
+    golden_reuse_programs
+
+(* The escalated registry programs: equal reports and an equal number of
+   consumed whole-program runs at every width. *)
+let test_wp_registry_jobs_invariant () =
+  let module T = Dca_support.Telemetry in
+  List.iter
+    (fun name ->
+      let run jobs =
+        let ctx = T.Ctx.create ~counting:true () in
+        let options = Session.Options.(default |> with_jobs jobs |> with_telemetry ctx) in
+        let report =
+          Session.with_session ~options (Session.Benchmark (Dca_progs.Registry.find_exn name)) Session.report
+        in
+        (report, T.Ctx.value ctx (T.counter "dca.wp_schedule_runs"))
+      in
+      let report1, wp1 = run 1 in
+      Alcotest.(check bool) (name ^ ": whole-program verification ran") true (wp1 > 0);
+      List.iter
+        (fun jobs ->
+          let report, wp = run jobs in
+          Alcotest.(check string) (Printf.sprintf "%s: report at jobs=%d" name jobs) report1 report;
+          Alcotest.(check int) (Printf.sprintf "%s: dca.wp_schedule_runs at jobs=%d" name jobs) wp1 wp)
+        [ 2; 4 ])
+    [ "LU"; "BT"; "BFS"; "em3d"; "otter" ]
+
+let golden_reuse_suites =
+  [
+    ( "dca-wp-golden",
+      [
+        Alcotest.test_case "reused golden = fresh golden" `Quick test_wp_golden_reuse;
+        Alcotest.test_case "escalated registry jobs 1/2/4" `Slow test_wp_registry_jobs_invariant;
+      ] );
+  ]
+
+let suites = suites @ golden_reuse_suites

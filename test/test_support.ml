@@ -163,6 +163,154 @@ let prop_pool_matches_list_map =
     (fun (jobs, xs) ->
       Pool.with_pool ~jobs (fun p -> Pool.map p (fun x -> x * x + 1) xs) = List.map (fun x -> x * x + 1) xs)
 
+(* Ordered speculation: [map_prefix] at every width returns what the
+   sequential short-circuiting loop returns. *)
+let widths = [ 1; 2; 4 ]
+
+let test_pool_map_prefix_prefix () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          let xs = List.init 12 Fun.id in
+          List.iter
+            (fun k ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "jobs=%d: prefix through decisive index %d" jobs k)
+                (List.init (k + 1) (fun i -> 10 * i))
+                (Pool.map_prefix p ~decisive:(fun v -> v = 10 * k) (fun x -> 10 * x) xs))
+            [ 0; 1; 5; 11 ];
+          Alcotest.(check (list int))
+            (Printf.sprintf "jobs=%d: no decisive result returns everything" jobs)
+            (List.map succ xs)
+            (Pool.map_prefix p ~decisive:(fun _ -> false) succ xs);
+          Alcotest.(check (list int)) "empty input" [] (Pool.map_prefix p ~decisive:(fun _ -> true) Fun.id [])))
+    widths
+
+let prop_map_prefix_matches_sequential =
+  QCheck.Test.make ~count:50 ~name:"Pool.map_prefix agrees with the short-circuiting loop"
+    QCheck.(pair (int_range 1 4) (small_list small_int))
+    (fun (jobs, xs) ->
+      let decisive v = v mod 7 = 0 in
+      let rec seq = function
+        | [] -> []
+        | x :: rest -> if decisive (x + 1) then [ x + 1 ] else (x + 1) :: seq rest
+      in
+      Pool.with_pool ~jobs (fun p -> Pool.map_prefix p ~decisive succ xs) = seq xs)
+
+(* Spin until [cond] holds, at most [bound] iterations; report whether it
+   did.  The bound keeps a broken pool from hanging the suite. *)
+let spin_until ?(bound = 200_000_000) cond =
+  let rec go k = if cond () then true else if k >= bound then false else (Domain.cpu_relax (); go (k + 1)) in
+  go 0
+
+(* Task 0 waits until every other task is running, then is decisive; the
+   others spin on [Pool.cancelled] and must see it turn true.  Their
+   results must never be returned, and the map must not return before
+   they have settled.  At jobs 1 the tasks past the decisive one never
+   start. *)
+let test_pool_cancel_past_cut () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          let n = max 2 jobs in
+          let started = Atomic.make 0 and settled = Atomic.make 0 and observed = Atomic.make 0 in
+          let task i =
+            if i = 0 then begin
+              if jobs > 1 then ignore (spin_until (fun () -> Atomic.get started = n - 1));
+              `Decisive
+            end
+            else begin
+              Atomic.incr started;
+              if spin_until Pool.cancelled then Atomic.incr observed;
+              (* settle well after the cut, so a map that returned early
+                 would see this task still running *)
+              Unix.sleepf 0.05;
+              Atomic.incr settled;
+              `Spun
+            end
+          in
+          let r = Pool.map_prefix p ~decisive:(fun v -> v = `Decisive) task (List.init n Fun.id) in
+          Alcotest.(check bool) (Printf.sprintf "jobs=%d: only the decisive result" jobs) true (r = [ `Decisive ]);
+          Alcotest.(check int) (Printf.sprintf "jobs=%d: settled before return" jobs) (Atomic.get started)
+            (Atomic.get settled);
+          Alcotest.(check int)
+            (Printf.sprintf "jobs=%d: every task past the cut ran and saw the cancellation" jobs)
+            (if jobs > 1 then n - 1 else 0)
+            (Atomic.get observed);
+          Alcotest.(check bool) "no task is cancelled outside the pool" false (Pool.cancelled ())))
+    widths
+
+(* A task past the cut cancels what it spawned: the nested map's tasks
+   see the submitter's token, on whichever domain they run. *)
+let test_pool_cancel_reaches_nested () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          let started = Atomic.make 0 and observed = Atomic.make 0 in
+          let inner _ =
+            Atomic.incr started;
+            if spin_until Pool.cancelled then Atomic.incr observed
+          in
+          let task i =
+            if i = 0 then begin
+              ignore (spin_until (fun () -> Atomic.get started >= 1));
+              true
+            end
+            else begin
+              ignore (Pool.map p inner [ 0; 1 ]);
+              false
+            end
+          in
+          Alcotest.(check (list bool)) "only the decisive result" [ true ] (Pool.map_prefix p ~decisive:Fun.id task [ 0; 1 ]);
+          Alcotest.(check int) (Printf.sprintf "jobs=%d: both nested tasks saw the cancellation" jobs) 2
+            (Atomic.get observed)))
+    [ 2; 4 ]
+
+let test_pool_prefix_exceptions () =
+  let run p ~decisive_at ~raise_at =
+    Pool.map_prefix p
+      ~decisive:(fun v -> v = decisive_at)
+      (fun x -> if List.mem x raise_at then failwith (string_of_int x) else x)
+      (List.init 32 Fun.id)
+  in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          for _ = 1 to 10 do
+            (match run p ~decisive_at:(-1) ~raise_at:[ 5; 9; 20 ] with
+            | _ -> Alcotest.fail "expected an exception"
+            | exception Failure msg -> Alcotest.(check string) "earliest exception wins" "5" msg);
+            (match run p ~decisive_at:3 ~raise_at:[ 5; 9 ] with
+            | r -> Alcotest.(check (list int)) "an exception past the decisive index is never raised" [ 0; 1; 2; 3 ] r
+            | exception Failure msg -> Alcotest.failf "jobs=%d raised %s past the decisive index" jobs msg);
+            match run p ~decisive_at:7 ~raise_at:[ 4 ] with
+            | _ -> Alcotest.fail "expected an exception"
+            | exception Failure msg -> Alcotest.(check string) "an exception before the decisive index wins" "4" msg
+          done))
+    widths
+
+let test_pool_settles_every_task () =
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          let n = 24 in
+          let settled = Atomic.make 0 in
+          let task x =
+            (* uneven work, so tasks finish out of order *)
+            ignore (spin_until ~bound:((x * 7919) mod 5000) (fun () -> false));
+            Atomic.incr settled;
+            x
+          in
+          Alcotest.(check (list int)) "map returns every result" (List.init n Fun.id)
+            (Pool.map p task (List.init n Fun.id));
+          Alcotest.(check int) (Printf.sprintf "jobs=%d: map settled all %d tasks" jobs n) n (Atomic.get settled);
+          Atomic.set settled 0;
+          Alcotest.(check (list int)) "decisive last element" (List.init n Fun.id)
+            (Pool.map_prefix p ~decisive:(fun x -> x = n - 1) task (List.init n Fun.id));
+          Alcotest.(check int) (Printf.sprintf "jobs=%d: map_prefix settled all %d tasks" jobs n) n
+            (Atomic.get settled)))
+    widths
+
 let suites =
   [
     ( "support",
@@ -183,6 +331,12 @@ let suites =
         Alcotest.test_case "pool nested map" `Quick test_pool_nested_map;
         Alcotest.test_case "pool empty + shutdown" `Quick test_pool_empty_and_shutdown;
         QCheck_alcotest.to_alcotest prop_pool_matches_list_map;
+        Alcotest.test_case "pool map_prefix returns the decisive prefix" `Quick test_pool_map_prefix_prefix;
+        QCheck_alcotest.to_alcotest prop_map_prefix_matches_sequential;
+        Alcotest.test_case "pool cancels tasks past the cut" `Quick test_pool_cancel_past_cut;
+        Alcotest.test_case "pool cancellation reaches nested maps" `Quick test_pool_cancel_reaches_nested;
+        Alcotest.test_case "pool prefix exceptions" `Quick test_pool_prefix_exceptions;
+        Alcotest.test_case "pool settles every task" `Quick test_pool_settles_every_task;
         Alcotest.test_case "union-find" `Quick test_unionfind;
         QCheck_alcotest.to_alcotest prop_unionfind_transitive;
         Alcotest.test_case "intset" `Quick test_intset;
