@@ -188,13 +188,24 @@ let sample_ns ~reps f =
 (* Integral figures print as integers, ratios with two decimals. *)
 let number v = if Float.is_integer v then Printf.sprintf "%.0f" v else Printf.sprintf "%.2f" v
 
-(* Allocation of LU's jobs-1 dynamic stage alone: minor words per
+(* A BENCH file: one JSON object that opens with the host the figures
+   were measured on (cores, OCaml version, the jobs the measured runs
+   used), then the entries in order. *)
+let write_bench file ~jobs ~fmt entries =
+  let oc = open_out file in
+  Printf.fprintf oc "{\n  \"nproc\": %d,\n  \"ocaml_version\": %S,\n  \"jobs\": %d"
+    (Domain.recommended_domain_count ()) Sys.ocaml_version jobs;
+  List.iter (fun (name, v) -> Printf.fprintf oc ",\n  %S: %s" name (fmt v)) entries;
+  output_string oc "\n}\n";
+  close_out oc
+
+(* Allocation of a jobs-1 dynamic stage alone: minor words per
    executed instruction and minor collections.  Frontend and proginfo are
    forced first, and a minor collection empties the nursery, so at the
    default minor heap the words repeat from run to run and the
    collections to within a few percent (a major cycle that ends
    mid-stage empties the minor heap too).  Smoke mode fails above these
-   limits. *)
+   limits on LU. *)
 let max_words_per_instr = 5.0
 let max_minor_collections = 500
 
@@ -222,6 +233,9 @@ let run_interp () =
   let reps_snap = if smoke then 50 else 400 in
   let reps_dca = if smoke then 1 else 5 in
   let bms = [ Registry.find_exn "LU"; Registry.find_exn "treeadd" ] in
+  (* BFS is the program that escalates most, so it shows the cost of
+     whole-program verification, which LU's loop-local probes do not *)
+  let bfs = Registry.find_exn "BFS" in
   let entries = ref [] in
   let push name v =
     Printf.printf "  %-34s %14s\n%!" name (number v);
@@ -283,23 +297,17 @@ let run_interp () =
           let key = String.map (fun c -> if c = '-' then '_' else c) key in
           push (Printf.sprintf "dca_%s_%s" bm.Benchmark.bm_name key) (float_of_int v))
         counters)
-    bms;
+    (bms @ [ bfs ]);
   (* 4. allocation of the dynamic stage: every minor collection is a
-     stop-the-world rendezvous of all pool domains at jobs > 1 *)
+     stop-the-world rendezvous of all pool domains at jobs > 1.  LU's is
+     gated in smoke mode; BFS's is recorded only. *)
   let words_per_instr, minor_collections = dynamic_alloc (Registry.find_exn "LU") in
   push "dca_LU_minor_words_per_instr" words_per_instr;
   push "dca_LU_minor_collections" (float_of_int minor_collections);
-  let oc = open_out "BENCH_interp.json" in
-  output_string oc "{\n";
-  let rec emit = function
-    | [] -> ()
-    | (name, v) :: rest ->
-        Printf.fprintf oc "  %S: %s%s\n" name (number v) (if rest = [] then "" else ",");
-        emit rest
-  in
-  emit (List.rev !entries);
-  output_string oc "}\n";
-  close_out oc;
+  let bfs_words, bfs_collections = dynamic_alloc bfs in
+  push "dca_BFS_minor_words_per_instr" bfs_words;
+  push "dca_BFS_minor_collections" (float_of_int bfs_collections);
+  write_bench "BENCH_interp.json" ~jobs:1 ~fmt:number (List.rev !entries);
   Printf.printf "  wrote BENCH_interp.json\n%!";
   if smoke && (words_per_instr > max_words_per_instr || minor_collections > max_minor_collections)
   then begin
@@ -477,17 +485,9 @@ let run_serve () =
     ]
   in
   List.iter (fun (name, v) -> Printf.printf "  %-30s %14.0f\n%!" name v) entries;
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc "{\n";
-  let rec emit = function
-    | [] -> ()
-    | (name, v) :: rest ->
-        Printf.fprintf oc "  %S: %.0f%s\n" name v (if rest = [] then "" else ",");
-        emit rest
-  in
-  emit entries;
-  output_string oc "}\n";
-  close_out oc;
+  (* [jobs] is the cache probes' (LU at jobs 2); the request-rate daemons
+     run at --jobs 1 *)
+  write_bench "BENCH_serve.json" ~jobs:2 ~fmt:(Printf.sprintf "%.0f") entries;
   Printf.printf
     "  wrote BENCH_serve.json (warm %.0fx, disk-warm %.0fx, identical: %b; %.1f -> %.1f req/s \
      concurrent, identical: %b)\n\

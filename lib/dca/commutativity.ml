@@ -113,23 +113,55 @@ type footprint = {
   fp_payload_writes : (Events.loc, Intset.t ref) Hashtbl.t;
 }
 
+(* What a replay consumes of the golden run.  The live-out digest is not
+   part of it: only a loop-local test compares against one, so
+   [test_invocation] captures it once the separability check passes, and
+   a whole-program run, which compares program outputs, captures none. *)
 type golden = {
   g_transitions : (int * int) array;  (** frame-level control transfers; (-1, header) marks iteration start *)
-  g_segments : (int * int) list;  (** (start, stop) index ranges into g_transitions, one per header arrival *)
-  g_payload_segments : int list;  (** indices into g_segments that execute payload *)
+  g_segments : (int * int) array;  (** (start, stop) index ranges into g_transitions, one per header arrival *)
+  g_payload_segments : int array;  (** indices into g_segments that execute payload *)
   g_snaps : Value.t array array;  (** interface values at each header arrival *)
   g_exit_snap : Value.t array;
   g_exit_block : int;
-  g_digest : Observable.t;
   g_footprint : footprint;
 }
 
+(* What every run under one separation reuses, built once per separation
+   (a widened separation gets its own): membership tables for the
+   iterator and payload passes' instruction filters and for the block
+   tests made on every transfer, and the variables the iterator defines,
+   whose exit values a replay restores. *)
+type prepared = {
+  pr_sep : separation;
+  pr_slice : Intset.table;  (** iterator-pass filter: slice instruction ids *)
+  pr_payload : Intset.table;  (** payload-pass filter: payload instruction ids *)
+  pr_loop_blocks : Intset.table;
+  pr_slice_cbr_blocks : Intset.table;
+  pr_slice_vars : Ir.var list;
+}
+
+let prepare fi sep =
+  let slice_vars, _ =
+    Intset.fold
+      (fun iid (acc, seen) ->
+        match Ir.def_of (Pdg.instr fi.Proginfo.fi_pdg iid).Ir.idesc with
+        | Some v when (not v.Ir.vglobal) && not (Intset.mem v.Ir.vid seen) ->
+            (v :: acc, Intset.add v.Ir.vid seen)
+        | _ -> (acc, seen))
+      sep.sep_slice ([], Intset.empty)
+  in
+  {
+    pr_sep = sep;
+    pr_slice = Intset.table sep.sep_slice;
+    pr_payload = Intset.table sep.sep_payload;
+    pr_loop_blocks = Intset.table sep.sep_loop.Loops.l_blocks;
+    pr_slice_cbr_blocks = Intset.table sep.sep_slice_cbr_blocks;
+    pr_slice_vars = slice_vars;
+  }
+
 let iface_values frame sep =
   Array.of_list (List.map (fun iv -> frame.Eval.regs.(iv.if_var.Ir.vslot)) sep.sep_interface)
-
-let is_mem_loc = function
-  | Events.Lheap _ | Events.Lglob _ | Events.Lrng -> true
-  | Events.Lreg _ -> false
 
 (* The live-out interface of [loop] in the current machine state: scalar
    values in fixed order plus the global aggregate roots.  Feeds both
@@ -172,12 +204,13 @@ let matches_digest ~eps golden fi loop ctx frame =
   let scalars, roots = digest_liveout fi loop ctx frame in
   Observable.matches ~eps golden (Eval.store ctx) ~scalars ~roots
 
-(* Run the loop once in original order under a recording sink. *)
-let record_golden ctx frame fi sep =
+(* Run the loop once in original order under a recording sink that takes
+   memory events only: the footprint is all it reads of the accesses. *)
+let record_golden ctx frame prep =
   fault_hit fp_golden "commutativity.golden";
-  let loop = sep.sep_loop in
-  let header = loop.Loops.l_header in
-  let in_loop b = Intset.mem b loop.Loops.l_blocks in
+  let sep = prep.pr_sep in
+  let header = sep.sep_loop.Loops.l_header in
+  let in_loop b = Intset.table_mem prep.pr_loop_blocks b in
   let transitions = ref [] in
   let depth = ref 0 in
   let cur_iid = ref (-1) in
@@ -189,8 +222,6 @@ let record_golden ctx frame fi sep =
       fp_payload_writes = Hashtbl.create 64;
     }
   in
-  let in_slice iid = Intset.mem iid sep.sep_slice in
-  let in_payload iid = Intset.mem iid sep.sep_payload in
   let touch tbl loc =
     if not (Hashtbl.mem tbl loc) then Hashtbl.replace tbl loc ()
   in
@@ -200,16 +231,18 @@ let record_golden ctx frame fi sep =
     | None -> Hashtbl.replace tbl loc (ref (Intset.singleton iid))
   in
   let record_access is_read loc =
-    if is_mem_loc loc && !cur_iid >= 0 then begin
+    if !cur_iid >= 0 then begin
       let iid = !cur_iid in
-      if in_slice iid then touch (if is_read then fp.fp_slice_reads else fp.fp_slice_writes) loc
-      else if in_payload iid then
+      if Intset.table_mem prep.pr_slice iid then
+        touch (if is_read then fp.fp_slice_reads else fp.fp_slice_writes) loc
+      else if Intset.table_mem prep.pr_payload iid then
         touch_set (if is_read then fp.fp_payload_reads else fp.fp_payload_writes) loc iid
     end
   in
   let sink =
     {
-      Events.on_exec = (fun i -> if !depth = 0 then cur_iid := i.Ir.iid);
+      Events.regs = false;
+      on_exec = (fun i -> if !depth = 0 then cur_iid := i.Ir.iid);
       on_read = (fun loc _ -> record_access true loc);
       on_write = (fun loc _ -> record_access false loc);
       on_block =
@@ -241,7 +274,6 @@ let record_golden ctx frame fi sep =
   let result = Fun.protect ~finally:(fun () -> Eval.set_sink ctx None) (fun () -> run ()) in
   let exit_block, snaps = result in
   let exit_snap = iface_values frame sep in
-  let digest = capture_digest fi loop ctx frame in
   let trans = Array.of_list (List.rev !transitions) in
   (* segments: ranges between (-1, header) markers *)
   let segments = ref [] and seg_start = ref None in
@@ -269,14 +301,15 @@ let record_golden ctx frame fi sep =
   in
   {
     g_transitions = trans;
-    g_segments = segments;
-    g_payload_segments = payload_idx;
+    g_segments = Array.of_list segments;
+    g_payload_segments = Array.of_list payload_idx;
     g_snaps = Array.of_list snaps;
     g_exit_snap = exit_snap;
     g_exit_block = exit_block;
-    g_digest = digest;
     g_footprint = fp;
   }
+
+let golden_recording fi sep ctx frame = (record_golden ctx frame (prepare fi sep)).g_exit_block
 
 (* Payload instructions whose memory effects interfere with the iterator:
    writers of locations the slice reads or writes, and readers of locations
@@ -319,17 +352,17 @@ let consume_direction trans cursor stop bid =
    iterator pass (slice only, recorded path), then payload pass (payload
    only, scheduled iteration order), then restore the iterator's exit
    values so live-outs reflect the completed traversal. *)
-let replay ctx frame fi sep g sched =
-  let loop = sep.sep_loop in
-  let header = loop.Loops.l_header in
-  let in_loop b = Intset.mem b loop.Loops.l_blocks in
+let replay ctx frame prep g sched =
+  let sep = prep.pr_sep in
+  let header = sep.sep_loop.Loops.l_header in
+  let in_loop b = Intset.table_mem prep.pr_loop_blocks b in
   let trans = g.g_transitions in
   let n_trans = Array.length trans in
   (* --- iterator pass --- *)
   let cursor = ref 0 in
   let iter_control =
     {
-      Eval.sc_filter = (fun i -> Intset.mem i.Ir.iid sep.sep_slice);
+      Eval.sc_filter = prep.pr_slice;
       sc_override = (fun bid -> Some (consume_direction trans cursor n_trans bid));
     }
   in
@@ -341,18 +374,9 @@ let replay ctx frame fi sep g sched =
       raise (Replay_mismatch (Printf.sprintf "iterator pass exited at %d, golden exited at %d" e g.g_exit_block))
   | Eval.Returned _ -> raise (Replay_mismatch "iterator pass returned"));
   (* save iterator exit values *)
-  let slice_vars =
-    Intset.fold
-      (fun iid acc ->
-        match Ir.def_of (Pdg.instr fi.Proginfo.fi_pdg iid).Ir.idesc with
-        | Some v when not v.Ir.vglobal -> if List.exists (fun v' -> v'.Ir.vid = v.Ir.vid) acc then acc else v :: acc
-        | _ -> acc)
-      sep.sep_slice []
-  in
-  let slice_exit_values = List.map (fun v -> (v, frame.Eval.regs.(v.Ir.vslot))) slice_vars in
+  let slice_exit_values = List.map (fun v -> (v, frame.Eval.regs.(v.Ir.vslot))) prep.pr_slice_vars in
   (* --- payload pass --- *)
-  let seg_array = Array.of_list g.g_segments in
-  let payload_iters = Array.of_list g.g_payload_segments in
+  let payload_iters = g.g_payload_segments in
   let n = Array.length payload_iters in
   let perm = Schedule.apply sched n in
   let set_iface seg_idx =
@@ -368,27 +392,29 @@ let replay ctx frame fi sep g sched =
         frame.Eval.regs.(iv.if_var.Ir.vslot) <- value)
       sep.sep_interface
   in
+  (* one control for the whole pass: each iteration re-aims the cursor
+     at its own segment of the golden path *)
+  let seg_stop = ref 0 in
+  let control =
+    Some
+      {
+        Eval.sc_filter = prep.pr_payload;
+        sc_override =
+          (fun bid ->
+            if Intset.table_mem prep.pr_slice_cbr_blocks bid then
+              Some (consume_direction trans cursor !seg_stop bid)
+            else None);
+      }
+  in
+  let stop b = b = header || not (in_loop b) in
   Array.iter
     (fun k ->
       let seg_idx = payload_iters.(k) in
-      let seg_start, seg_stop = seg_array.(seg_idx) in
+      let start, stop_idx = g.g_segments.(seg_idx) in
       set_iface seg_idx;
-      let cursor = ref seg_start in
-      let control =
-        {
-          Eval.sc_filter = (fun i -> Intset.mem i.Ir.iid sep.sep_payload);
-          sc_override =
-            (fun bid ->
-              if Intset.mem bid sep.sep_slice_cbr_blocks then
-                Some (consume_direction trans cursor seg_stop bid)
-              else None);
-        }
-      in
-      match
-        Eval.exec_upto ctx frame ~start:header
-          ~stop:(fun b -> b = header || not (in_loop b))
-          ~control:(Some control)
-      with
+      cursor := start;
+      seg_stop := stop_idx;
+      match Eval.exec_upto ctx frame ~start:header ~stop ~control with
       | Eval.Stopped_at _ -> ()
       | Eval.Returned _ -> raise (Replay_mismatch "payload pass returned"))
     perm;
@@ -397,16 +423,16 @@ let replay ctx frame fi sep g sched =
 
 (* Replay under [sched], then compare the state left behind against the
    golden digest in place (no second capture is materialized). *)
-let replay_matches ~eps ctx frame fi sep g sched =
-  replay ctx frame fi sep g sched;
-  matches_digest ~eps g.g_digest fi sep.sep_loop ctx frame
+let replay_matches ~eps ctx frame fi prep g digest sched =
+  replay ctx frame prep g sched;
+  matches_digest ~eps digest fi prep.pr_sep.sep_loop ctx frame
 
 (* ------------------------------------------------------------------ *)
 (* Mode A: loop-local testing via interception                         *)
 (* ------------------------------------------------------------------ *)
 
 type tester_state = {
-  mutable ts_sep : separation;
+  mutable ts_prep : prepared;  (** the current (possibly widened) separation *)
   mutable ts_tested : int;
   mutable ts_failure : verdict option;
   mutable ts_needs_escalation : Schedule.t list;
@@ -429,12 +455,12 @@ let run_loop_plain ctx frame loop =
       raise (Replay_mismatch "loop returned during plain run")
 
 let widen_or_fail fi state violations =
-  let sep' = Iterator_rec.widen fi state.ts_sep ~promote:violations in
+  let sep' = Iterator_rec.widen fi state.ts_prep.pr_sep ~promote:violations in
   if sep'.sep_mixed_cbr then Error "promotion produced mixed branch conditions"
   else if sep'.sep_ambiguous <> [] then Error "promotion produced an ambiguous interface"
   else if Iterator_rec.is_iterator_only sep' then Error "iterator absorbed the whole payload"
   else begin
-    state.ts_sep <- sep';
+    state.ts_prep <- prepare fi sep';
     state.ts_promotions <- state.ts_promotions + 1;
     Ok ()
   end
@@ -459,7 +485,7 @@ let sift_schedules schedules n_iters = Schedule.sift schedules n_iters
    escapes and aborts the analysis, [Eval.Cancelled] escapes from a
    speculative replay past a trap, and the trace span is closed on every
    exit path. *)
-let replay_counted ~eps ctx frame fi sep g sched =
+let replay_counted ~eps ctx frame fi prep g digest sched =
   let traced = Telemetry.tracing () in
   let name = if traced then "replay " ^ Schedule.to_string sched else "" in
   let s0 = Eval.steps ctx in
@@ -475,7 +501,7 @@ let replay_counted ~eps ctx frame fi sep g sched =
       let d =
         match
           fault_hit ~ctx:(Schedule.to_string sched) fp_replay "commutativity.replay";
-          replay_matches ~eps ctx frame fi sep g sched
+          replay_matches ~eps ctx frame fi prep g digest sched
         with
         | true ->
             label := "match";
@@ -509,8 +535,8 @@ let replay_counted ~eps ctx frame fi sep g sched =
    presets equal at this trip count need not coincide), so escalation
    marks are rebuilt over the full preset list — verdicts are identical
    to replaying everything. *)
-let run_schedules pool config fi state ctx frame g restore0 =
-  let n_iters = List.length g.g_payload_segments in
+let run_schedules pool config fi state ctx frame g digest restore0 =
+  let n_iters = Array.length g.g_payload_segments in
   let identity = Array.init n_iters (fun i -> i) in
   let schedules, skipped = sift_schedules config.cc_schedules n_iters in
   state.ts_skipped <- state.ts_skipped + skipped;
@@ -538,13 +564,13 @@ let run_schedules pool config fi state ctx frame g restore0 =
                 (* the digest comparison runs in the worker, against the
                    worker-local replica state; only the decision crosses
                    back *)
-                replay_counted ~eps:config.cc_eps ctx' frame' fi state.ts_sep g sched))
+                replay_counted ~eps:config.cc_eps ctx' frame' fi state.ts_prep g digest sched))
           schedules
     | _ ->
         Pool.map_prefix Pool.sequential ~decisive
           (fun (sched, _) ->
             restore0 ();
-            replay_counted ~eps:config.cc_eps ctx frame fi state.ts_sep g sched)
+            replay_counted ~eps:config.cc_eps ctx frame fi state.ts_prep g digest sched)
           schedules
   in
   (* meter only the consumed decisions, and only once the list completed
@@ -597,44 +623,49 @@ let test_invocation ?pool config fi state ctx frame =
   let rec attempt rounds =
     restore0 ();
     state.ts_goldens <- state.ts_goldens + 1;
-    match Telemetry.span ~cat:"dynamic" "golden" (fun () -> record_golden ctx frame fi state.ts_sep) with
+    let golden () =
+      let g = record_golden ctx frame state.ts_prep in
+      let violations = separability_violations g in
+      (* the live-out digest the replays compare against, captured from
+         the golden run's final state only once the separation holds *)
+      if Intset.is_empty violations then
+        `Separable (g, capture_digest fi state.ts_prep.pr_sep.sep_loop ctx frame)
+      else `Violations violations
+    in
+    match Telemetry.span ~cat:"dynamic" "golden" golden with
     | exception Replay_mismatch msg -> Untestable msg
     | exception Eval.Trap msg -> Untestable ("trap during golden run: " ^ msg)
-    | g -> begin
-        let violations = separability_violations g in
-        if not (Intset.is_empty violations) then begin
-          if rounds > 0 then
-            match widen_or_fail fi state violations with
-            | Ok () -> attempt (rounds - 1)
-            | Error msg -> Untestable msg
-          else Untestable "memory separability violated"
-        end
-        else begin
-          (* identity self-check — metered like any other replay; it runs
-             on the main context in both the sequential and parallel paths *)
-          restore0 ();
-          let steps0 = Eval.steps ctx in
-          let count () =
-            state.ts_replays <- state.ts_replays + 1;
-            state.ts_replay_steps <- state.ts_replay_steps + (Eval.steps ctx - steps0)
-          in
-          match
-            Telemetry.span ~cat:"dynamic" "replay identity" (fun () ->
-                replay_matches ~eps:config.cc_eps ctx frame fi state.ts_sep g Schedule.Identity)
-          with
-          | exception Replay_mismatch msg ->
-              count ();
-              Untestable ("identity replay: " ^ msg)
-          | exception Eval.Trap msg ->
-              count ();
-              Untestable ("identity replay trap: " ^ msg)
-          | false ->
-              count ();
-              Untestable "identity replay does not reproduce the golden state"
-          | true ->
-              count ();
-              run_schedules pool config fi state ctx frame g restore0
-        end
+    | `Violations violations ->
+        if rounds > 0 then
+          match widen_or_fail fi state violations with
+          | Ok () -> attempt (rounds - 1)
+          | Error msg -> Untestable msg
+        else Untestable "memory separability violated"
+    | `Separable (g, digest) -> begin
+        (* identity self-check — metered like any other replay; it runs
+           on the main context in both the sequential and parallel paths *)
+        restore0 ();
+        let steps0 = Eval.steps ctx in
+        let count () =
+          state.ts_replays <- state.ts_replays + 1;
+          state.ts_replay_steps <- state.ts_replay_steps + (Eval.steps ctx - steps0)
+        in
+        match
+          Telemetry.span ~cat:"dynamic" "replay identity" (fun () ->
+              replay_matches ~eps:config.cc_eps ctx frame fi state.ts_prep g digest Schedule.Identity)
+        with
+        | exception Replay_mismatch msg ->
+            count ();
+            Untestable ("identity replay: " ^ msg)
+        | exception Eval.Trap msg ->
+            count ();
+            Untestable ("identity replay trap: " ^ msg)
+        | false ->
+            count ();
+            Untestable "identity replay does not reproduce the golden state"
+        | true ->
+            count ();
+            run_schedules pool config fi state ctx frame g digest restore0
       end
   in
   Fun.protect
@@ -650,11 +681,13 @@ let test_invocation ?pool config fi state ctx frame =
 (* ------------------------------------------------------------------ *)
 
 (* Run the entire program with every invocation of the loop executed under
-   [sched]; return its outputs. *)
-let whole_program_run (info : Proginfo.t) spec fi sep sched =
+   [sched]; return its outputs.  Each invocation records the golden path
+   and footprint its replay needs, but no live-out digest: the verdict
+   compares program outputs. *)
+let whole_program_run (info : Proginfo.t) spec prep sched =
   let prog = Proginfo.program info in
   let ctx = context_of_spec spec prog in
-  let loop = sep.sep_loop in
+  let loop = prep.pr_sep.sep_loop in
   let handler ctx frame =
     let st = Eval.store ctx in
     let s0 = Store.snapshot st in
@@ -666,11 +699,11 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
     Fun.protect
       ~finally:(fun () -> Store.release st s0)
       (fun () ->
-        let g = record_golden ctx frame fi sep in
+        let g = record_golden ctx frame prep in
         if not (Intset.is_empty (separability_violations g)) then
           raise (Replay_mismatch "separability violated in whole-program run");
         restore0 ();
-        replay ctx frame fi sep g sched;
+        replay ctx frame prep g sched;
         (* continue the program from the permuted state *)
         g.g_exit_block)
   in
@@ -691,12 +724,12 @@ let whole_program_run (info : Proginfo.t) spec fi sep sched =
    past the first decisive one, returning the prefix the sequential
    short-circuiting loop consumes — the verdict is the same at every
    width. *)
-let escalate pool config info spec fi sep ~golden_out scheds =
+let escalate pool config info spec prep ~golden_out scheds =
   let scheds = Listx.dedup_keep_order ( = ) scheds in
   let wp_run sched =
     let name = if Telemetry.tracing () then "wp-run " ^ Schedule.to_string sched else "" in
     Telemetry.span ~cat:"dynamic" name (fun () ->
-        match whole_program_run info spec fi sep sched with
+        match whole_program_run info spec prep sched with
         | out ->
             if Observable.outputs_equal ~eps:config.cc_eps golden_out out then `Commutes
             else
@@ -728,7 +761,7 @@ let test_loop ?pool ?(fresh_golden = false) config (info : Proginfo.t) spec fi s
   let loop = sep.sep_loop in
   let state =
     {
-      ts_sep = sep;
+      ts_prep = prepare fi sep;
       ts_tested = 0;
       ts_failure = None;
       ts_needs_escalation = [];
@@ -789,7 +822,7 @@ let test_loop ?pool ?(fresh_golden = false) config (info : Proginfo.t) spec fi s
             end
             else Eval.outputs ctx
           in
-          escalate pool config info spec fi state.ts_sep ~golden_out state.ts_needs_escalation
+          escalate pool config info spec state.ts_prep ~golden_out state.ts_needs_escalation
         else Non_commutative "live-out digest differs (escalation disabled)"
     | v -> v
   in
@@ -803,7 +836,7 @@ let test_loop ?pool ?(fresh_golden = false) config (info : Proginfo.t) spec fi s
       oc_golden_runs = state.ts_goldens;
       oc_replays = state.ts_replays;
       oc_replay_steps = state.ts_replay_steps;
-      oc_separation = state.ts_sep;
+      oc_separation = state.ts_prep.pr_sep;
       oc_per_invocation = List.rev state.ts_per_invocation;
     }
   in

@@ -8,7 +8,11 @@
       recording (a) the control-flow path, (b) the interface-variable
       values at every iteration boundary (the "linearized iterator",
       §IV-A3), (c) the live-out digest of the golden execution, and
-      (d) which memory locations iterator and payload instructions touch;
+      (d) which memory locations iterator and payload instructions touch.
+      The recording takes memory events only.  Item (c) belongs to the
+      loop-local test alone: it is captured once the separability check
+      below passes, and the golden recordings of whole-program
+      verification runs, which compare program outputs, capture none;
     + checks {e memory separability}: payload writes must not feed iterator
       reads or writes (and vice versa).  Worklist idioms — payload pushes
       feeding iterator pops — fail this check at first; the engine then
@@ -127,6 +131,15 @@ val test_loop :
     original order.  [~fresh_golden:true] takes that reference from a
     separate plain run instead; it exists as the differential reference
     that pins this premise in the tests. *)
+
+val golden_recording :
+  Dca_analysis.Proginfo.func_info -> Iterator_rec.separation -> Dca_interp.Eval.ctx -> Dca_interp.Eval.frame -> int
+(** [golden_recording fi sep] is an {!Dca_interp.Eval.add_interceptor}
+    handler that runs the loop once in original order under the golden
+    recording sink — memory events only — and returns its exit block.  It
+    leaves the state the loop produced and keeps no record: it exists so
+    the tests can pin the recording's allocation per executed
+    instruction. *)
 
 val test_loop_inputs :
   ?pool:Dca_support.Pool.t ->

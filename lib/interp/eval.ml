@@ -108,7 +108,7 @@ and ctx = {
   mutable interceptors : interceptor list;
 }
 
-type step_control = { sc_filter : Ir.instr -> bool; sc_override : int -> int option }
+type step_control = { sc_filter : Dca_support.Intset.table; sc_override : int -> int option }
 
 type stop_reason = Stopped_at of int | Returned of Value.t option
 
@@ -238,16 +238,20 @@ let write_var frame (v : Ir.var) x = frame.regs.(v.vslot) <- x
 
 (* Operand evaluation with register-read events attributed to
    instruction [iid]; constants are free.  The event location is built
-   only when a sink listens. *)
+   only when a sink listens to register events. *)
 let ev ctx frame iid = function
   | Dvar v ->
-      (match ctx.sink with Some s -> s.Events.on_read (Events.Lreg v.Ir.vid) iid | None -> ());
+      (match ctx.sink with
+      | Some s when s.Events.regs -> s.Events.on_read (Events.Lreg v.Ir.vid) iid
+      | _ -> ());
       read_var frame v
   | Dconst v -> v
 
 (* Register definition by instruction [iid]. *)
 let def ctx frame iid (v : Ir.var) x =
-  (match ctx.sink with Some s -> s.Events.on_write (Events.Lreg v.Ir.vid) iid | None -> ());
+  (match ctx.sink with
+  | Some s when s.Events.regs -> s.Events.on_write (Events.Lreg v.Ir.vid) iid
+  | _ -> ());
   write_var frame v x
 
 (* Operand evaluation outside any instruction (terminators): register
@@ -547,7 +551,7 @@ and exec_from ctx frame bid ~stop ~control ~src : stop_reason =
       | Some c ->
           for k = 0 to Array.length instrs - 1 do
             let d = instrs.(k) in
-            if c.sc_filter d.di then exec_instr ctx frame d
+            if Dca_support.Intset.table_mem c.sc_filter d.di.Ir.iid then exec_instr ctx frame d
           done);
       match blk.db_term with
       | TBr t -> continue_to ctx frame bid t ~stop ~control

@@ -26,7 +26,14 @@
     comparisons return shared constants.  The dynamic stage runs here at
     jobs > 1, where every minor collection stops all pool domains, so
     this is a throughput contract; a test pins it at a few minor words
-    per executed instruction. *)
+    per executed instruction.
+
+    Register-event contract: a sink with [regs = false] (see {!Events})
+    costs nothing on a register read or write beyond the sink branch — no
+    [Events.Lreg] is built and no closure is called — while its memory,
+    block, call and return events are exactly those a [regs = true] sink
+    receives.  DCA's golden recording is such a sink; the dependence
+    profiler takes register events. *)
 
 exception Trap of string
 exception Out_of_fuel
@@ -107,7 +114,13 @@ val copy_frame : frame -> frame
 (** Same function and decoded code, private copy of the register file. *)
 
 type step_control = {
-  sc_filter : Dca_ir.Ir.instr -> bool;  (** execute only instructions satisfying this *)
+  sc_filter : Dca_support.Intset.table;
+      (** execute only the frame's instructions whose id is in this table.
+          A membership table ({!Dca_support.Intset.table}), not a
+          predicate: the step loop consults it for every instruction of
+          the region, so it costs a bounds check and a byte load and no
+          call.  Build it once per instruction set and reuse it across
+          runs. *)
   sc_override : int -> int option;
       (** forced successor for the conditional terminator of the given
           block ([None] = evaluate the condition normally) *)

@@ -4,7 +4,16 @@
     reads/writes classified by location, control transfers between blocks,
     and call boundaries.  The dependence profiler, the coverage profiler
     and DCA's dynamic stage are all sinks; running without a sink costs
-    nothing but a branch per event site. *)
+    nothing but a branch per event site.
+
+    Register events (reads and writes of frame variables, [Lreg]) come
+    only to a sink that asks for them with [regs = true].  For a sink
+    with [regs = false] the evaluator builds no [Lreg] location and calls
+    nothing on a register read or write: [on_read]/[on_write] see only
+    memory ([Lheap], [Lglob], [Lrng]), and every other event stream is
+    the same as with [regs = true].  Register traffic is most of the
+    event volume, so a memory-only sink (DCA's golden recording) skips
+    most of the instrumentation cost. *)
 
 type loc =
   | Lheap of int * int  (** heap block, cell offset *)
@@ -13,6 +22,7 @@ type loc =
   | Lrng  (** the [drand] generator state *)
 
 type sink = {
+  regs : bool;  (** deliver register events ([Lreg]) to [on_read]/[on_write] *)
   on_exec : Dca_ir.Ir.instr -> unit;
   on_read : loc -> int -> unit;
       (** location read by the instruction with the given id; [-1] when the
@@ -26,6 +36,7 @@ type sink = {
 
 let null_sink =
   {
+    regs = false;
     on_exec = (fun _ -> ());
     on_read = (fun _ _ -> ());
     on_write = (fun _ _ -> ());

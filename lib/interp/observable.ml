@@ -30,10 +30,14 @@ let hash_cells h cells =
   done;
   !h
 
+let d_captures =
+  Dca_support.Telemetry.counter ~kind:Dca_support.Telemetry.Diag "observable.captures"
+
 (* Canonicalize: BFS over blocks from the roots, assigning canonical ids in
    first-visit order.  The visit order is deterministic because scalars and
    roots come in fixed order and cells are scanned left to right. *)
 let capture st ~scalars ~roots =
+  Dca_support.Telemetry.incr d_captures;
   let canon = Hashtbl.create 64 in
   let queue = Queue.create () in
   let next_id = ref 0 in

@@ -158,7 +158,8 @@ let profile_program ?fuel ?input (info : Proginfo.t) =
   in
   let sink =
     {
-      Events.on_exec =
+      Events.regs = true;
+      on_exec =
         (fun _ ->
           incr total_cost;
           let stack_key = List.map (fun cx -> cx.cx_id) !active in

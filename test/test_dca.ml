@@ -894,3 +894,142 @@ let golden_reuse_suites =
   ]
 
 let suites = suites @ golden_reuse_suites
+
+(* ------------------------------------------------------------------ *)
+(* What each instrumented run records                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Whole-program verification compares program outputs, so a
+   whole-program run captures no live-out digest: switching escalation
+   on adds the whole-program runs and leaves the number of captures
+   where the loop-local tests put it. *)
+let test_wp_captures_no_digest () =
+  let module T = Dca_support.Telemetry in
+  List.iter
+    (fun name ->
+      let run escalate =
+        let ctx = T.Ctx.create ~counting:true () in
+        let config = { Commutativity.default_config with Commutativity.cc_escalate = escalate } in
+        let options =
+          Session.Options.(default |> with_jobs 1 |> with_config config |> with_telemetry ctx)
+        in
+        ignore
+          (Session.with_session ~options (Session.Benchmark (Dca_progs.Registry.find_exn name))
+             Session.report);
+        ( T.Ctx.value ctx (T.counter "dca.wp_schedule_runs"),
+          T.Ctx.value ctx (T.counter ~kind:T.Diag "observable.captures") )
+      in
+      let wp_on, captures_on = run true in
+      let wp_off, captures_off = run false in
+      Alcotest.(check bool) (name ^ ": whole-program verification ran") true (wp_on > 0);
+      Alcotest.(check int) (name ^ ": no whole-program runs without escalation") 0 wp_off;
+      Alcotest.(check bool) (name ^ ": loop-local tests captured digests") true (captures_off > 0);
+      Alcotest.(check int) (name ^ ": captures with and without escalation") captures_off captures_on)
+    [ "BFS"; "em3d" ]
+
+(* Every invocation of LU's outermost loops in [main] (the time-step loop
+   runs the whole computation through calls), handled by [record] and
+   continued from the state it leaves. *)
+let with_lu_main_loops record =
+  let bm = Dca_progs.Registry.find_exn "LU" in
+  let prog = Dca_ir.Lower.compile ~file:"LU" bm.Dca_progs.Benchmark.bm_source in
+  let info = Proginfo.analyze prog in
+  let fi = Proginfo.func_info info "main" in
+  let ctx = Dca_interp.Eval.create ~input:bm.Dca_progs.Benchmark.bm_input prog in
+  List.iter
+    (fun loop ->
+      Dca_interp.Eval.add_interceptor ctx ~fname:"main" ~header:loop.Loops.l_header
+        (record fi (Iterator_rec.separate fi loop) loop))
+    (Loops.top_level fi.Proginfo.fi_forest);
+  Dca_interp.Eval.run_main ctx
+
+(* The register-event split: a sink that drops register events sees the
+   same memory, block, call and return stream as one that takes them.
+   Each loop invocation is recorded twice from the same entry state, as
+   a golden recording runs it, once under each sink; each stream is
+   folded into a hash as it arrives. *)
+let test_register_event_split () =
+  let module E = Dca_interp.Events in
+  let module Eval = Dca_interp.Eval in
+  let recorder regs =
+    let h = ref 0 and events = ref 0 and reg_events = ref 0 in
+    let mix k =
+      h := Hashtbl.hash (!h, k);
+      incr events
+    in
+    let access tag loc iid =
+      match loc with E.Lreg _ -> incr reg_events | _ -> mix (tag, E.loc_to_string loc, iid)
+    in
+    let sink =
+      {
+        E.regs;
+        on_exec = (fun i -> mix (0, "", i.Dca_ir.Ir.iid));
+        on_read = access 1;
+        on_write = access 2;
+        on_block = (fun ~fname ~src ~dst -> mix (3, fname, (src * 100_003) + dst));
+        on_call = (fun f -> mix (4, f, 0));
+        on_return = (fun f -> mix (5, f, 0));
+      }
+    in
+    (sink, fun () -> (!h, !events, !reg_events))
+  in
+  let with_regs, seen_with = recorder true in
+  let without_regs, seen_without = recorder false in
+  let invocations = ref 0 in
+  with_lu_main_loops (fun _fi _sep loop ctx frame ->
+      incr invocations;
+      let st = Eval.store ctx in
+      let s0 = Dca_interp.Store.snapshot st in
+      let regs0 = Array.copy frame.Eval.regs in
+      let in_loop b = Dca_support.Intset.mem b loop.Loops.l_blocks in
+      let record sink =
+        Eval.set_sink ctx (Some sink);
+        let r = Eval.exec_upto ctx frame ~start:loop.Loops.l_header ~stop:(fun b -> not (in_loop b)) ~control:None in
+        Eval.set_sink ctx None;
+        match r with Eval.Stopped_at e -> e | Eval.Returned _ -> Alcotest.fail "loop returned"
+      in
+      let exit1 = record with_regs in
+      Dca_interp.Store.restore st s0;
+      Array.blit regs0 0 frame.Eval.regs 0 (Array.length regs0);
+      let exit2 = record without_regs in
+      Dca_interp.Store.release st s0;
+      Alcotest.(check int) "same exit block" exit1 exit2;
+      exit2);
+  let h1, n1, regs1 = seen_with () and h2, n2, regs2 = seen_without () in
+  Alcotest.(check bool) "both loops recorded" true (!invocations >= 2);
+  Alcotest.(check bool) "the register sink saw register events" true (regs1 > 0);
+  Alcotest.(check int) "the memory-only sink saw none" 0 regs2;
+  Alcotest.(check int) "same number of memory, block, call and return events" n1 n2;
+  Alcotest.(check int) "same event stream" h1 h2
+
+(* The golden recording takes memory events only, so it allocates little
+   beyond what the loop itself does: the recorded path, the footprint
+   tables and the interface snapshots.  It measures 3.1 minor words per
+   executed instruction on LU's outermost loops; taking register events
+   (one [Lreg] per register access) measured 12.1. *)
+let test_golden_recording_allocation () =
+  let words = ref 0.0 and steps = ref 0 in
+  with_lu_main_loops (fun fi sep _loop ctx frame ->
+      let s0 = Dca_interp.Eval.steps ctx in
+      let w0 = Gc.minor_words () in
+      let exit = Commutativity.golden_recording fi sep ctx frame in
+      words := !words +. (Gc.minor_words () -. w0);
+      steps := !steps + (Dca_interp.Eval.steps ctx - s0);
+      exit);
+  let per_step = !words /. float_of_int (max 1 !steps) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per recorded step (%d steps)" per_step !steps)
+    true
+    (!steps > 100_000 && per_step <= 5.0)
+
+let recording_suites =
+  [
+    ( "dca-recording",
+      [
+        Alcotest.test_case "whole-program runs capture no digest" `Slow test_wp_captures_no_digest;
+        Alcotest.test_case "register-event split" `Quick test_register_event_split;
+        Alcotest.test_case "golden recording allocation" `Quick test_golden_recording_allocation;
+      ] );
+  ]
+
+let suites = suites @ recording_suites

@@ -173,6 +173,57 @@ let test_rng_dependence () =
   in
   Alcotest.(check bool) "drand chains through the generator" true rng_raw
 
+(* A canonical rendering of a whole profile: every loop's costs,
+   invocations and dependences (sorted), the coverage buckets and the
+   total cost. *)
+let fingerprint (p : Depprof.profile) =
+  let b = Buffer.create 4096 in
+  Printf.bprintf b "total %d\n" p.Depprof.pr_total_cost;
+  List.iter
+    (fun (stack, cost) -> Printf.bprintf b "bucket %s %d\n" (String.concat "/" stack) cost)
+    (List.sort compare p.Depprof.pr_buckets);
+  Hashtbl.fold (fun id lp acc -> (id, lp) :: acc) p.Depprof.pr_loops []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.iter (fun (id, (lp : Depprof.loop_profile)) ->
+         Printf.bprintf b "loop %s cost %d iters %d\n" id lp.Depprof.lp_total_cost lp.Depprof.lp_total_iters;
+         List.iter
+           (fun inv ->
+             Printf.bprintf b " inv %d [%s]\n" inv.Depprof.inv_iters
+               (String.concat "," (Array.to_list (Array.map string_of_int inv.Depprof.inv_iter_costs))))
+           lp.Depprof.lp_invocations;
+         List.map
+           (fun d ->
+             ( Depprof.dep_kind_to_string d.Depprof.d_kind,
+               d.Depprof.d_write_iid,
+               d.Depprof.d_read_iid,
+               Dca_interp.Events.loc_to_string d.Depprof.d_loc ))
+           lp.Depprof.lp_deps
+         |> List.sort compare
+         |> List.iter (fun (k, w, r, loc) -> Printf.bprintf b " dep %s %d %d %s\n" k w r loc));
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The profiler takes register events ([Events.regs = true]) while DCA's
+   golden recording drops them; the profile of a registry program is the
+   one recorded before the evaluator learned to skip register events for
+   memory-only sinks, register dependences included. *)
+let test_registry_profile_pinned () =
+  let bm = Dca_progs.Registry.find_exn "IS" in
+  let prog = Dca_ir.Lower.compile ~file:"IS" bm.Dca_progs.Benchmark.bm_source in
+  let info = Proginfo.analyze prog in
+  let p = Depprof.profile_program ~input:bm.Dca_progs.Benchmark.bm_input info in
+  let reg_deps =
+    Hashtbl.fold
+      (fun _ lp acc ->
+        acc
+        + List.length
+            (List.filter
+               (fun d -> match d.Depprof.d_loc with Dca_interp.Events.Lreg _ -> true | _ -> false)
+               lp.Depprof.lp_deps))
+      p.Depprof.pr_loops 0
+  in
+  Alcotest.(check bool) "register dependences profiled" true (reg_deps > 0);
+  Alcotest.(check string) "IS profile fingerprint" "3886e4a52943daa946c828cb5086543c" (fingerprint p)
+
 let suites =
   [
     ( "depprof",
@@ -186,5 +237,6 @@ let suites =
         Alcotest.test_case "coverage" `Quick test_coverage;
         Alcotest.test_case "coverage union" `Quick test_coverage_union_no_double_count;
         Alcotest.test_case "rng dependence" `Quick test_rng_dependence;
+        Alcotest.test_case "registry profile pinned" `Quick test_registry_profile_pinned;
       ] );
   ]

@@ -123,6 +123,19 @@ let test_intset () =
   Alcotest.(check (list string)) "map list entry" [ "b"; "a" ] (Intset.Map.find 1 m);
   Alcotest.(check int) "find_default" 9 (Intset.Map.find_default 2 9 (Intset.Map.empty : int Intset.Map.t))
 
+(* A membership table answers exactly like [Intset.mem]: for random id
+   sets (the empty set included), every probe from below zero to well
+   past the set's maximum agrees. *)
+let prop_intset_table_agrees =
+  QCheck.Test.make ~count:300 ~name:"Intset.table_mem agrees with Intset.mem"
+    QCheck.(pair (small_list (int_bound 400)) (small_list (int_range (-5) 1000)))
+    (fun (elts, probes) ->
+      let s = Intset.of_list elts in
+      let t = Intset.table s in
+      let top = match Intset.max_elt_opt s with Some m -> m | None -> 0 in
+      let probes = probes @ List.init (top + 70) (fun i -> i - 3) @ [ max_int; min_int ] in
+      List.for_all (fun i -> Intset.table_mem t i = Intset.mem i s) probes)
+
 (* --------------------------------------------------------------- *)
 
 let test_pool_map_order () =
@@ -340,5 +353,6 @@ let suites =
         Alcotest.test_case "union-find" `Quick test_unionfind;
         QCheck_alcotest.to_alcotest prop_unionfind_transitive;
         Alcotest.test_case "intset" `Quick test_intset;
+        QCheck_alcotest.to_alcotest prop_intset_table_agrees;
       ] );
   ]
